@@ -3,7 +3,6 @@ beamformer selection, zero-forcing precoding, and Monte Carlo BER
 sweeps."""
 
 from .numerics import (
-    NoConvergenceError,
     SingularMatrixError,
     dominant_right_eigvec,
     dominant_right_eigvec_batch,

@@ -31,6 +31,10 @@ MAX_BITS = 20
 
 _HEADER = struct.Struct("<III")  # dim, bits, seed
 
+# Element budget for one chunk of the (trials, subcarriers, receive
+# antennas, codewords) amplitude tensor: 2**21 complex128 values, 32 MB.
+_GAIN_BUDGET = 1 << 21
+
 
 class CodebookTooLargeError(ValueError):
     """Requested more feedback bits than supported."""
@@ -112,11 +116,11 @@ def quantize_direction(h: np.ndarray, codebook: Codebook) -> QuantizationResult:
     power = float(np.dot(h.conj(), h).real)
     if power == 0.0:
         raise ZeroChannelError("cannot quantize an all-zero channel")
-    corr = np.abs(codebook.vectors.conj() @ h) ** 2
-    index = int(np.argmax(corr))  # argmax returns the first maximizer
-    metric = float(corr[index])
+    # |h^H w|^2 is ||H w||^2 for the one-row channel H = h^H
+    index, gain = _best_codewords(h.conj()[None, None, None], codebook.vectors)
+    metric = float(gain[0, 0])
     distortion = min(max(1.0 - metric / power, 0.0), 1.0)
-    return QuantizationResult(index, distortion, metric)
+    return QuantizationResult(int(index[0, 0]), distortion, metric)
 
 
 def select_beamformer(
@@ -140,16 +144,47 @@ def select_beamformer(
         raise ValueError(
             f"channel has {h.shape[1]} columns, codebook has dim {codebook.dim}"
         )
-    gains = (np.abs(h @ codebook.vectors.T) ** 2).sum(axis=0)
-    index = int(np.argmax(gains))
-    metric = float(gains[index])
+    index, gain = _best_codewords(h[None, None], codebook.vectors)
+    metric = float(gain[0, 0])
     _, lam = dominant_right_eigvec_batch(h[None])
     top = float(lam[0])
     if top <= 0.0:
         distortion = 0.0
     else:
         distortion = min(max(1.0 - metric / top, 0.0), 1.0)
-    return QuantizationResult(index, distortion, metric)
+    return QuantizationResult(int(index[0, 0]), distortion, metric)
+
+
+def _best_codewords(
+    h: np.ndarray, vectors: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Best codeword per channel matrix: argmax over w of ``||H w||^2``.
+
+    ``h`` is a (t, n, n_r, dim) stack of channel matrices.  ``vectors``
+    is one codebook (k, dim) shared by the whole stack, or one codebook
+    per group (t, k, dim).  Returns ``(index, gain)``, both (t, n).
+    Codewords are scored in chunks that keep the amplitude tensor within
+    ``_GAIN_BUDGET`` elements; within and across chunks the first
+    maximizer wins, so ties break to the lowest index.
+    """
+    t, n, n_r, dim = h.shape
+    rows = h.reshape(t, n * n_r, dim)
+    step = max(1, _GAIN_BUDGET // (t * n * n_r))
+    cells = np.arange(t * n)
+    for lo in range(0, vectors.shape[-2], step):
+        gains = np.abs(rows @ vectors[..., lo : lo + step, :].swapaxes(-1, -2))
+        gains **= 2  # in place: one float tensor per chunk, not two
+        gains = gains.reshape(t * n, n_r, -1)
+        gains = gains.sum(axis=1) if n_r > 1 else gains[:, 0]
+        idx = gains.argmax(axis=1)
+        gain = gains[cells, idx]
+        if lo == 0:
+            best_idx, best_gain = idx, gain
+        else:
+            better = gain > best_gain  # strict: earlier chunks keep ties
+            best_idx = np.where(better, idx + lo, best_idx)
+            best_gain = np.where(better, gain, best_gain)
+    return best_idx.reshape(t, n), best_gain.reshape(t, n)
 
 
 def save_codebook(codebook: Codebook, path) -> None:

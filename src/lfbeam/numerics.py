@@ -2,35 +2,24 @@
 
 Everything operates on plain numpy arrays with dtype complex128 and is
 written for the tiny matrices that show up in beamforming (a handful of
-rows and columns).  There is deliberately no general eigendecomposition
-here: the dominant right singular direction is found by power iteration
-on the Gram matrix, with a closed form for the 2x2 case as fallback.
+rows and columns).  The dominant right singular direction (the MRT
+beam) has one batched routine: the rank-one closed form for single-row
+channels and ``np.linalg.eigh`` on the Gram matrix otherwise, so it is
+exact up to rounding and has no convergence criterion.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-DEFAULT_TOL = 1e-12
-DEFAULT_MAX_ITER = 10_000
-
 # Gauss-Jordan elimination refuses pivots below this magnitude.
 PIVOT_FLOOR = 1e-14
 # ... and inverses whose 1-norm condition estimate exceeds this.
 COND_LIMIT = 1e12
 
-# Power iteration starts from (1, eps, ..., eps).  The perturbation keeps
-# the start vector from being exactly orthogonal to the dominant
-# eigenvector for axis-aligned inputs such as diagonal matrices.
-_START_EPS = 1e-3
-
 
 class SingularMatrixError(ValueError):
     """Matrix is singular or too ill-conditioned to invert reliably."""
-
-
-class NoConvergenceError(RuntimeError):
-    """Power iteration did not converge within the iteration budget."""
 
 
 def hermitian(a: np.ndarray) -> np.ndarray:
@@ -81,12 +70,6 @@ def mat_inverse(a: np.ndarray) -> np.ndarray:
     return inv
 
 
-def _start_vector(dim: int) -> np.ndarray:
-    v = np.full(dim, _START_EPS, dtype=np.complex128)
-    v[0] = 1.0
-    return v / np.linalg.norm(v)
-
-
 def _phase_fix_rows(v: np.ndarray) -> np.ndarray:
     """Rotate each row so its first nonzero entry is real and >= 0."""
     mag = np.abs(v)
@@ -100,112 +83,43 @@ def _phase_fix_rows(v: np.ndarray) -> np.ndarray:
     return v * phase[:, None]
 
 
-def _power_iteration_gram(
-    mats: np.ndarray, tol: float, max_iter: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Batched power iteration on G = A^H A.
+def dominant_right_eigvec(a: np.ndarray) -> tuple[np.ndarray, float]:
+    """Dominant right singular direction of one matrix.
 
-    ``mats`` has shape (n, r, c).  Returns ``(v, lam, converged)`` where
-    ``v`` is (n, c) with the phase convention applied, ``lam`` is
-    ``||A v||^2`` per matrix, and ``converged`` is a boolean mask.
-    Non-converged rows keep their final iterate.
-    """
-    mats = np.asarray(mats, dtype=np.complex128)
-    n, _, c = mats.shape
-    gram = np.einsum("nij,nik->njk", mats.conj(), mats)
-    v = np.tile(_start_vector(c), (n, 1))
-    active = np.ones(n, dtype=bool)
-    for _ in range(max_iter):
-        if not active.any():
-            break
-        vs = v[active]
-        w = np.einsum("njk,nk->nj", gram[active], vs)
-        wn = np.sqrt((np.abs(w) ** 2).sum(axis=1))
-        zero = wn == 0.0  # A v = 0: the zero matrix, eigenvalue 0
-        w = w / np.where(zero, 1.0, wn)[:, None]
-        w[zero] = vs[zero]
-        delta = np.sqrt((np.abs(w - vs) ** 2).sum(axis=1))
-        v[active] = w
-        done = (delta < tol) | zero
-        idx = np.flatnonzero(active)
-        active[idx[done]] = False
-    av = np.einsum("nij,nj->ni", mats, v)
-    lam = (np.abs(av) ** 2).sum(axis=1)
-    return _phase_fix_rows(v), lam, ~active
-
-
-def _top_eig_gram_2x2(gram: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Closed-form dominant eigenpair of 2x2 Hermitian PSD matrices.
-
-    ``gram`` has shape (n, 2, 2).  Used as fallback when power iteration
-    stalls on a near-degenerate spectrum.
-    """
-    a = gram[:, 0, 0].real
-    d = gram[:, 1, 1].real
-    b = gram[:, 0, 1]
-    half_gap = 0.5 * (a - d)
-    root = np.sqrt(half_gap**2 + np.abs(b) ** 2)
-    lam = 0.5 * (a + d) + root
-    v = np.empty((gram.shape[0], 2), dtype=np.complex128)
-    off = np.abs(b) > 0.0
-    # (b, lam - a) is an eigenvector when the off-diagonal is nonzero
-    v[off, 0] = b[off]
-    v[off, 1] = (lam - a)[off]
-    diag = ~off
-    v[diag, 0] = np.where(a[diag] >= d[diag], 1.0, 0.0)
-    v[diag, 1] = np.where(a[diag] >= d[diag], 0.0, 1.0)
-    norm = np.sqrt((np.abs(v) ** 2).sum(axis=1))
-    v /= np.where(norm > 0.0, norm, 1.0)[:, None]
-    return _phase_fix_rows(v), lam
-
-
-def dominant_right_eigvec(
-    a: np.ndarray,
-    tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
-) -> tuple[np.ndarray, float]:
-    """Dominant right singular direction of a matrix by power iteration.
-
-    Runs power iteration on ``G = a^H a`` from the fixed start vector
-    ``(1, eps, ..., eps)`` until the iterate moves by less than ``tol``.
     Returns ``(v, lam)`` with ``||v|| = 1``, ``lam = ||a v||^2`` (the
-    largest eigenvalue of G), and the first nonzero entry of ``v`` real
-    and nonnegative.
-
-    Raises :class:`NoConvergenceError` after ``max_iter`` iterations
-    without convergence (nearly degenerate dominant eigenvalues).
+    largest eigenvalue of ``a^H a``), and the first nonzero entry of
+    ``v`` real and nonnegative.  See :func:`dominant_right_eigvec_batch`.
     """
     a = np.asarray(a, dtype=np.complex128)
     if a.ndim != 2:
         raise ValueError(f"expected a 2-D array, got ndim={a.ndim}")
-    v, lam, converged = _power_iteration_gram(a[None], tol, max_iter)
-    if not converged[0]:
-        raise NoConvergenceError(
-            f"power iteration did not converge in {max_iter} iterations"
-        )
+    v, lam = dominant_right_eigvec_batch(a[None])
     return v[0], float(lam[0])
 
 
 def dominant_right_eigvec_batch(
     mats: np.ndarray,
-    tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Batched :func:`dominant_right_eigvec` that never raises.
+    """Dominant right singular directions of a stack of matrices.
 
-    ``mats`` has shape (n, r, c).  Rows where power iteration stalls use
-    the closed 2x2 form when ``c == 2`` and otherwise keep the final
-    iterate, which for a near-degenerate spectrum is an almost-optimal
-    direction.  Returns ``(v, lam)`` of shapes (n, c) and (n,).
+    ``mats`` has shape (n, r, c).  A single row (``r == 1``) has the
+    closed form ``conj(a) / ||a||``, and an all-zero row gets the first
+    unit vector.  Otherwise ``v`` is the top eigenvector of the Gram
+    matrix ``a^H a`` from ``np.linalg.eigh``.  Returns ``(v, lam)`` of
+    shapes (n, c) and (n,), with the phase convention of
+    :func:`dominant_right_eigvec` and ``lam = ||a v||^2``.
     """
     mats = np.asarray(mats, dtype=np.complex128)
-    v, lam, converged = _power_iteration_gram(mats, tol, max_iter)
-    bad = ~converged
-    if bad.any() and mats.shape[2] == 2:
-        sub = mats[bad]
-        gram = np.einsum("nij,nik->njk", sub.conj(), sub)
-        vb, _ = _top_eig_gram_2x2(gram)
-        av = np.einsum("nij,nj->ni", sub, vb)
-        v[bad] = vb
-        lam[bad] = (np.abs(av) ** 2).sum(axis=1)
-    return v, lam
+    if mats.shape[1] == 1:
+        v = mats[:, 0, :].conj()
+        norms = np.linalg.norm(v, axis=1)
+        zero = norms == 0.0
+        v = v / np.where(zero, 1.0, norms)[:, None]
+        v[zero] = 0.0
+        v[zero, 0] = 1.0
+    else:
+        gram = np.einsum("nij,nik->njk", mats.conj(), mats)
+        v = np.linalg.eigh(gram)[1][:, :, -1]
+    v = _phase_fix_rows(v)
+    av = np.einsum("nij,nj->ni", mats, v)
+    return v, (np.abs(av) ** 2).sum(axis=1)

@@ -14,16 +14,18 @@ SNR on subcarrier k is ``rho * ||H_k b_k||^2`` for a unit direction
 
 Reproducibility: trial ``i`` draws everything from
 ``SeedSequence([master_seed, i])`` in a fixed order (data bits, taps,
-codebook seed when a fresh codebook is used, pilot noise when CSI is
-estimated, data noise).  Draws do not depend on the SNR point or on
-how trials are batched across workers, so sweeps share common random
-numbers across SNR points and curves, and results are bit-identical
-for any worker count.
+pilot noise when CSI is estimated, data noise, codebook seed when a
+fresh codebook is used).  The codebook seed comes last, so a trial's
+channel and noise are the same on every curve of one link.  Draws do
+not depend on the SNR point or on how trials are batched across
+workers, so sweeps share common random numbers across SNR points and
+curves, and results are bit-identical for any worker count.
 """
 
 from __future__ import annotations
 
 import multiprocessing
+import numbers
 import os
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
@@ -31,8 +33,8 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .channel import _complex_normal, ls_estimate, make_phase_shift_training
-from .codebook import Codebook, gen_rvq
-from .numerics import _phase_fix_rows, dominant_right_eigvec_batch
+from .codebook import _GAIN_BUDGET, Codebook, _best_codewords, gen_rvq
+from .numerics import dominant_right_eigvec_batch
 from .beamforming import apply_power_constraint
 
 __all__ = [
@@ -49,7 +51,6 @@ __all__ = [
     "run_sweep",
     "trial_effective_gains",
     "snr_at_ber",
-    "curve_csv_text",
     "write_curve_csv",
     "TRIALS_PER_BATCH",
 ]
@@ -57,6 +58,8 @@ __all__ = [
 MODULATIONS = ("bpsk", "qpsk")
 CSI_MODES = ("perfect", "estimated")
 MAX_FEEDBACK_BITS = 20
+_INT_FIELDS = ("n_t", "n_r", "n_subcarriers", "n_taps", "n_pilots",
+               "target_errors", "max_bits", "master_seed")
 
 # Trials are simulated in fixed-size batches; the stopping rule is
 # checked between batches.  Fixed batches keep the set of simulated
@@ -66,12 +69,6 @@ TRIALS_PER_BATCH = 256
 # SeedSequence stream key for the shared codebook in fixed-codebook
 # mode; far outside any reachable trial index.
 _CODEBOOK_STREAM = 2**62 + 11
-
-# Codeword chunk size for beam selection, bounding memory for large B.
-_SELECT_CHUNK = 1 << 14
-# Element budget for the stacked trials x subcarriers x codewords gain
-# tensor used by the fast selection path (~32 MB of complex128).
-_SELECT_TRIAL_BUDGET = 1 << 21
 
 
 class ConfigError(ValueError):
@@ -118,6 +115,19 @@ class SimConfig:
     master_seed: int = 0
 
     def validate(self) -> None:
+        for key in _INT_FIELDS + ("feedback_bits",):
+            value = getattr(self, key)
+            if key == "feedback_bits" and value is None:
+                continue
+            if isinstance(value, bool) or not isinstance(
+                value, numbers.Integral
+            ):
+                raise ConfigError(f"{key} must be an integer, got {value!r}")
+        if not isinstance(self.fresh_codebook, bool):
+            raise ConfigError(
+                f"fresh_codebook must be true or false, got "
+                f"{self.fresh_codebook!r}"
+            )
         if self.n_t < 1 or self.n_r < 1:
             raise ConfigError(
                 f"antenna counts must be >= 1, got n_t={self.n_t} n_r={self.n_r}"
@@ -154,6 +164,8 @@ class SimConfig:
             raise ConfigError("pilot_snr_db must be finite")
         if len(self.snr_db_points) == 0:
             raise ConfigError("snr_db_points must not be empty")
+        if not np.isfinite(self.snr_db_points).all():
+            raise ConfigError("snr_db_points must be finite")
         if any(
             b <= a for a, b in zip(self.snr_db_points, self.snr_db_points[1:])
         ):
@@ -211,13 +223,9 @@ class SimConfig:
                 )
             except (TypeError, ValueError) as e:
                 raise ConfigError(f"bad snr_db_points: {e}") from e
-        for key in ("n_t", "n_r", "n_subcarriers", "n_taps", "n_pilots",
-                    "target_errors", "max_bits", "master_seed"):
+        for key in _INT_FIELDS:
             if key in kwargs:
-                try:
-                    kwargs[key] = int(kwargs[key])
-                except (TypeError, ValueError) as e:
-                    raise ConfigError(f"bad {key}: {e}") from e
+                kwargs[key] = _as_int(key, kwargs[key])
         if kwargs.get("pilot_snr_db") is not None and "pilot_snr_db" in kwargs:
             try:
                 kwargs["pilot_snr_db"] = float(kwargs["pilot_snr_db"])
@@ -228,16 +236,24 @@ class SimConfig:
         return cfg
 
 
+def _as_int(key: str, value) -> int:
+    """``value`` as an int; booleans and non-integral numbers are errors
+    rather than being read as 0/1 or truncated."""
+    if isinstance(value, bool) or (
+        isinstance(value, float) and not value.is_integer()
+    ):
+        raise ConfigError(f"{key} must be an integer, got {value!r}")
+    try:
+        return int(value)
+    except (TypeError, ValueError) as e:
+        raise ConfigError(f"bad {key}: {e}") from e
+
+
 def _parse_feedback_bits(value) -> int | None:
     """Accept 'perfect'/None for unquantized CSI or an integer bit count."""
     if value is None or value == "perfect":
         return None
-    try:
-        return int(value)
-    except (TypeError, ValueError) as e:
-        raise ConfigError(
-            f"feedback_bits must be an integer or 'perfect', got {value!r}"
-        ) from e
+    return _as_int("feedback_bits", value)
 
 
 class TrialResult(NamedTuple):
@@ -356,8 +372,8 @@ def _fixed_codebook(config: SimConfig) -> Codebook | None:
 def _draw_block(config: SimConfig, start: int, count: int):
     """Per-trial random draws for trials [start, start+count).
 
-    The draw order within a trial is fixed (bits, taps, codebook seed,
-    pilot noise, data noise) and never depends on the SNR point.
+    The draw order within a trial is fixed (bits, taps, pilot noise,
+    data noise, codebook seed) and never depends on the SNR point.
     """
     n = config.n_subcarriers
     bps = config.bits_per_symbol
@@ -381,35 +397,14 @@ def _draw_block(config: SimConfig, start: int, count: int):
         taps[i] = _complex_normal(
             rng, (config.n_taps, config.n_r, config.n_t), tap_scale
         )
-        if want_seed:
-            cb_seeds[i] = rng.integers(0, 2**32)
         if want_pilot:
             pilot[i] = _complex_normal(
                 rng, (n, config.n_r, config.n_pilots), np.sqrt(0.5)
             )
         noise[i] = _complex_normal(rng, (n, config.n_r), np.sqrt(0.5))
+        if want_seed:
+            cb_seeds[i] = rng.integers(0, 2**32)
     return bits, taps, cb_seeds, pilot, noise
-
-
-def _select_codewords(hr: np.ndarray, vectors: np.ndarray) -> np.ndarray:
-    """Best codeword index per subcarrier: argmax of sum_i |H w|^2.
-
-    ``hr`` is (n, n_r, n_t), ``vectors`` (K, n_t).  Codewords are
-    scanned in chunks so large codebooks stay within memory; within and
-    across chunks the first maximizer wins, i.e. ties break low.
-    """
-    n = hr.shape[0]
-    best_gain = np.full(n, -1.0)
-    best_idx = np.zeros(n, dtype=np.int64)
-    for lo in range(0, vectors.shape[0], _SELECT_CHUNK):
-        chunk = vectors[lo : lo + _SELECT_CHUNK]
-        g = (np.abs(hr @ chunk.T) ** 2).sum(axis=1)  # (n, chunk)
-        idx = np.argmax(g, axis=1)
-        gain = g[np.arange(n), idx]
-        better = gain > best_gain  # strict: earlier chunks keep ties
-        best_gain[better] = gain[better]
-        best_idx[better] = idx[better] + lo
-    return best_idx
 
 
 def _beam_directions(
@@ -421,52 +416,27 @@ def _beam_directions(
     """Unit transmit directions per trial and subcarrier from receiver CSI.
 
     ``hr`` is (T, N, n_r, n_t).  Unquantized mode takes the dominant
-    right eigenvector of each subcarrier matrix (for a single receive
-    antenna that is conj(h)/||h||, computed directly); B-bit mode takes
-    the best codeword of the trial's codebook.
+    right eigenvector of each subcarrier matrix; B-bit mode takes the
+    best codeword of the trial's codebook.
     """
     t, n, n_r, n_t = hr.shape
     if config.feedback_bits is None:
-        if n_r == 1:
-            rows = hr[:, :, 0, :].reshape(t * n, n_t)
-            v = rows.conj()
-            norms = np.linalg.norm(v, axis=1)
-            zero = norms == 0.0
-            v = v / np.where(zero, 1.0, norms)[:, None]
-            v[zero] = 0.0
-            v[zero, 0] = 1.0
-            return _phase_fix_rows(v).reshape(t, n, n_t)
         v, _ = dominant_right_eigvec_batch(hr.reshape(t * n, n_r, n_t))
         return v.reshape(t, n, n_t)
+    if fixed_cb is not None:
+        sel, _ = _best_codewords(hr, fixed_cb.vectors)
+        return fixed_cb.vectors[sel]
+    # fresh codebooks: stack as many trials as fit the gain budget
     k = 1 << config.feedback_bits
+    step = max(1, _GAIN_BUDGET // (n * k * n_r))
     beams = np.empty((t, n, n_t), dtype=np.complex128)
-    if k > _SELECT_CHUNK:
-        # huge codebooks: scan codeword chunks one trial at a time
-        for i in range(t):
-            cb = fixed_cb or gen_rvq(
-                config.n_t, config.feedback_bits, int(cb_seeds[i])
-            )
-            sel = _select_codewords(hr[i], cb.vectors)
-            beams[i] = cb.vectors[sel]
-        return beams
-    # stack a slice of trials and select with one batched matmul
-    step = max(1, _SELECT_TRIAL_BUDGET // (n * k * n_r))
     for lo in range(0, t, step):
-        hi = min(lo + step, t)
-        rows = hr[lo:hi].reshape(hi - lo, n * n_r, n_t)
-        if fixed_cb is not None:
-            w = np.broadcast_to(fixed_cb.vectors, (hi - lo, k, n_t))
-            amp = rows @ fixed_cb.vectors.T
-        else:
-            w = np.empty((hi - lo, k, n_t), dtype=np.complex128)
-            for i in range(lo, hi):
-                w[i - lo] = gen_rvq(
-                    config.n_t, config.feedback_bits, int(cb_seeds[i])
-                ).vectors
-            amp = rows @ w.transpose(0, 2, 1)
-        gains = (np.abs(amp) ** 2).reshape(hi - lo, n, n_r, k).sum(axis=2)
-        sel = np.argmax(gains, axis=2)  # first maximum: ties break low
-        beams[lo:hi] = w[np.arange(hi - lo)[:, None], sel]
+        w = np.stack([
+            gen_rvq(n_t, config.feedback_bits, int(seed)).vectors
+            for seed in cb_seeds[lo : lo + step]
+        ])
+        sel, _ = _best_codewords(hr[lo : lo + step], w)
+        beams[lo : lo + step] = w[np.arange(w.shape[0])[:, None], sel]
     return beams
 
 
@@ -689,10 +659,6 @@ def snr_at_ber(curve: BerCurve, target: float) -> float | None:
             la, lb, lt = np.log10(a.ber), np.log10(b.ber), np.log10(target)
             return float(a.snr_db + (b.snr_db - a.snr_db) * (lt - la) / (lb - la))
     return None
-
-
-def curve_csv_text(curve: BerCurve) -> str:
-    return curve.to_csv_text()
 
 
 def write_curve_csv(curve: BerCurve, path) -> None:

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import lfbeam.codebook
 from lfbeam.codebook import (
     Codebook,
     CodebookTooLargeError,
@@ -12,6 +13,7 @@ from lfbeam.codebook import (
     gen_rvq,
     load_codebook,
     quantize_direction,
+    _best_codewords,
     save_codebook,
     select_beamformer,
 )
@@ -230,6 +232,39 @@ def test_select_rejects_bad_rho():
     cb = gen_rvq(2, 1, seed=0)
     with pytest.raises(ValueError):
         select_beamformer(np.eye(2, dtype=complex), cb, rho=0.0)
+
+
+# ---------------------------------------------------------- _best_codewords
+
+
+def test_kernel_chunked_scan_matches_single_pass(rng, monkeypatch):
+    h = rng.standard_normal((3, 5, 2, 2)) + 1j * rng.standard_normal((3, 5, 2, 2))
+    shared = gen_rvq(2, 6, seed=1).vectors
+    per_trial = np.stack([gen_rvq(2, 6, seed=s).vectors for s in range(3)])
+    for vectors in (shared, per_trial):
+        w = np.broadcast_to(vectors, (3, 64, 2))
+        direct = (np.abs(np.einsum("tnij,tkj->tnik", h, w)) ** 2).sum(axis=2)
+        idx, gain = _best_codewords(h, vectors)
+        assert np.array_equal(idx, np.argmax(direct, axis=2))
+        # 7 codewords per chunk: ten chunks, the last one ragged
+        monkeypatch.setattr(lfbeam.codebook, "_GAIN_BUDGET", 7 * 3 * 5 * 2)
+        idx_c, gain_c = _best_codewords(h, vectors)
+        monkeypatch.undo()
+        assert np.array_equal(idx_c, idx)
+        # BLAS may round a narrower column block differently in the
+        # last bit, so the chunked gains agree to rounding, not bitwise
+        assert np.allclose(gain_c, gain, rtol=1e-14, atol=0.0)
+
+
+def test_kernel_tie_across_chunk_boundary_breaks_low(monkeypatch):
+    """e1 wins at indices 2, 3 and 4; chunks of three put index 2 in
+    the first chunk and 3, 4 in the second.  Every gain is exact."""
+    e1, e2 = np.eye(2, dtype=complex)
+    vectors = np.stack([e2, e2, e1, e1, e1, e2])
+    h = np.array([[[[1.0, 0.0]]]], dtype=complex)
+    monkeypatch.setattr(lfbeam.codebook, "_GAIN_BUDGET", 3)
+    idx, gain = _best_codewords(h, vectors)
+    assert idx[0, 0] == 2 and gain[0, 0] == 1.0
 
 
 # ------------------------------------------------------------- file format

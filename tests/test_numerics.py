@@ -4,7 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lfbeam.numerics import (
-    NoConvergenceError,
     SingularMatrixError,
     dominant_right_eigvec,
     dominant_right_eigvec_batch,
@@ -157,14 +156,6 @@ def test_eigvec_unit_norm_and_phase(rng):
         assert first.real >= 0.0
 
 
-def test_eigvec_no_convergence_raises():
-    # eigenvalue ratio so close to one that 10k iterations cannot split
-    # it, yet far enough that the iterate keeps moving by more than tol
-    a = np.diag([1.0 + 0j, np.sqrt(1.0 - 1e-6)])
-    with pytest.raises(NoConvergenceError):
-        dominant_right_eigvec(a, tol=1e-12, max_iter=10_000)
-
-
 def test_eigvec_zero_matrix_converges():
     v, lam = dominant_right_eigvec(np.zeros((2, 2), dtype=complex))
     assert lam == 0.0
@@ -181,8 +172,8 @@ def test_batch_matches_scalar(rng):
 
 
 def test_batch_falls_back_on_degenerate_2x2():
-    """Near-equal eigenvalues stall the iteration; the batch path must
-    still return the true dominant eigenvalue via the closed form."""
+    """Near-equal eigenvalues (ratio 1 - 1e-6) still give the true
+    dominant eigenvalue."""
     mats = np.stack([
         np.diag([1.0 + 0j, np.sqrt(1.0 - 1e-6)]),
         np.array([[1.0, 2.0], [3.0, 4.0]], dtype=complex),
@@ -192,6 +183,20 @@ def test_batch_falls_back_on_degenerate_2x2():
     lam_ref, _ = top_sv_direction(mats[1])
     assert abs(lb[1] - lam_ref) <= 1e-9 * lam_ref
     assert np.allclose(np.linalg.norm(vb, axis=1), 1.0, atol=1e-12)
+
+
+def test_single_row_closed_form_matches_eigh_route(rng):
+    """A 1 x n_t row and the same row padded with a zero row (which
+    takes the Gram-matrix route) give the same direction and gain."""
+    rows = random_complex(rng, (200, 1, 4))
+    rows[3] = 0.0
+    padded = np.concatenate([rows, np.zeros_like(rows)], axis=1)
+    v1, lam1 = dominant_right_eigvec_batch(rows)
+    v2, lam2 = dominant_right_eigvec_batch(padded)
+    live = np.arange(rows.shape[0]) != 3
+    assert np.abs(v1[live] - v2[live]).max() <= 1e-12
+    assert np.abs(lam1 - lam2).max() <= 1e-12
+    assert lam1[3] == 0.0 and np.array_equal(v1[3], [1, 0, 0, 0])
 
 
 @given(st.integers(0, 2**32 - 1))

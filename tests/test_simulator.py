@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lfbeam.channel import gen_selective_taps
+from lfbeam.channel import _complex_normal, gen_selective_taps
+from lfbeam.codebook import gen_rvq
 from lfbeam.simulator import (
     BerCurve,
     BerPoint,
@@ -11,6 +12,7 @@ from lfbeam.simulator import (
     OddBitCountError,
     SimConfig,
     TRIALS_PER_BATCH,
+    _draw_block,
     _run_block,
     _trial_rng,
     awgn,
@@ -144,15 +146,33 @@ def test_noiseless_trials_have_zero_errors():
 
 
 def test_draw_order_is_documented_order():
-    """Replaying (bits, taps, ...) from the trial stream reproduces the
-    channel the simulator used."""
-    cfg = SimConfig(**FAST)
+    """Replaying (bits, taps, pilot noise, data noise, codebook seed)
+    from the trial stream reproduces the draws the simulator used."""
+    cfg = SimConfig(feedback_bits=3, csi_mode="estimated", **FAST)
+    n = cfg.n_subcarriers
     d = trial_effective_gains(cfg, 6.0, 21)
+    bits, _, seeds, pilot, noise = _draw_block(cfg, 21, 1)
     rng = _trial_rng(cfg.master_seed, 21)
-    rng.integers(0, 2, size=cfg.n_subcarriers, dtype=np.uint8)  # data bits
+    assert np.array_equal(rng.integers(0, 2, size=n, dtype=np.uint8), bits[0])
     taps = gen_selective_taps(cfg.n_r, cfg.n_t, cfg.n_taps, rng)
-    h = np.fft.fft(taps.taps, n=cfg.n_subcarriers, axis=0)
+    h = np.fft.fft(taps.taps, n=n, axis=0)
     assert np.array_equal(h, d["channel"])
+    shape = (n, cfg.n_r, cfg.n_pilots)
+    assert np.array_equal(_complex_normal(rng, shape, np.sqrt(0.5)), pilot[0])
+    shape = (n, cfg.n_r)
+    assert np.array_equal(_complex_normal(rng, shape, np.sqrt(0.5)), noise[0])
+    seed = rng.integers(0, 2**32)
+    assert seed == seeds[0]
+    words = gen_rvq(cfg.n_t, cfg.feedback_bits, int(seed)).vectors
+    assert all((words == beam).all(axis=1).any() for beam in d["beams"])
+
+
+def test_every_curve_sees_the_same_noise():
+    """The fresh-codebook seed is drawn last, so it leaves a trial's
+    noise as on the perfect-CSI curve."""
+    perfect = _draw_block(SimConfig(**FAST), 5, 1)
+    fresh = _draw_block(SimConfig(feedback_bits=4, **FAST), 5, 1)
+    assert np.array_equal(perfect[4], fresh[4])
 
 
 def test_post_combining_snr_identity():
@@ -343,10 +363,32 @@ def test_config_rejects_unknown_keys():
     dict(csi_mode="genie"),
     dict(csi_mode="estimated", n_pilots=1),
     dict(master_seed=-1),
+    dict(fresh_codebook="no"),
+    dict(snr_db_points=(0.0, float("nan"))),
+    dict(snr_db_points=(0.0, float("inf"))),
+    dict(snr_db_points=(float("-inf"), 0.0)),
+    dict(n_t=2.7),
+    dict(target_errors=True),
+    dict(feedback_bits=True),
 ])
 def test_config_validation_rejects(bad):
     with pytest.raises(ConfigError):
         SimConfig(**bad).validate()
+
+
+@pytest.mark.parametrize("bad", [
+    {"fresh_codebook": "no"},
+    {"snr_db_points": [0.0, float("nan")]},
+    {"snr_db_points": [0.0, float("inf")]},
+    {"snr_db_points": ["-inf", 0.0]},
+    {"n_t": 2.7},
+    {"n_t": "2.7"},
+    {"target_errors": True},
+    {"feedback_bits": True},
+])
+def test_config_from_dict_rejects(bad):
+    with pytest.raises(ConfigError):
+        SimConfig.from_dict(bad)
 
 
 @given(st.integers(0, 1000), st.integers(0, 3))
