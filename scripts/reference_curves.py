@@ -22,7 +22,7 @@ import numpy as np
 sys.path.insert(0, "src")
 
 from lfbeam.codebook import gen_rvq, quantize_direction
-from lfbeam.simulator import SimConfig, run_sweep
+from lfbeam.simulator import SimConfig, run_sweeps
 
 
 def mrc_bpsk_ber(snr_db: float, branches: int) -> float:
@@ -36,15 +36,11 @@ def mrc_bpsk_ber(snr_db: float, branches: int) -> float:
 
 
 def run_check(snrs, target_errors, max_bits, seed):
-    perfect = run_sweep(SimConfig(
+    """Perfect-CSI and single-random-beam (B=0) curves from one sweep."""
+    return run_sweeps(SimConfig(
         n_t=2, n_r=1, snr_db_points=tuple(snrs),
         target_errors=target_errors, max_bits=max_bits, master_seed=seed,
-    ))
-    single = run_sweep(SimConfig(
-        n_t=2, n_r=1, feedback_bits=0, snr_db_points=tuple(snrs),
-        target_errors=target_errors, max_bits=max_bits, master_seed=seed,
-    ))
-    return perfect, single
+    ), [None, 0])
 
 
 def main(argv=None):

@@ -55,6 +55,7 @@ from .simulator import (
     demodulate,
     modulate,
     run_sweep,
+    run_sweeps,
     run_trial,
     snr_at_ber,
     trial_effective_gains,

@@ -12,14 +12,14 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import replace
 
-from .simulator import (
+from .simulator import (  # noqa: F401 (run_sweep: perfbench traces it here)
     BerCurve,
     ConfigError,
     SimConfig,
     _parse_feedback_bits,
     run_sweep,
+    run_sweeps,
     snr_at_ber,
     write_curve_csv,
 )
@@ -44,10 +44,6 @@ _DEFAULT_CURVES: dict[str | None, list[int | None]] = {
     "fig3-mimo22": [None, 1, 2, 4, 8],
     "fig4-estimated": [None, 4],
 }
-
-
-def _curve_label(bits: int | None) -> str:
-    return "perfect" if bits is None else f"rvq-b{bits}"
 
 
 def _parse_curve_list(raw) -> list[int | None]:
@@ -107,9 +103,7 @@ def parse_config(
             if not isinstance(body, dict):
                 raise ConfigError("manifest 'config' must be an object")
             if doc.get("curves") is not None:
-                curves = _parse_curve_list(
-                    [c for c in doc["curves"]]
-                )
+                curves = _parse_curve_list(doc["curves"])
         else:
             body = dict(doc)
             if "curves" in body:
@@ -136,24 +130,18 @@ def run_experiment(
     """Run every curve, write CSVs and a manifest, print a summary."""
     stream = stream if stream is not None else sys.stdout
     os.makedirs(out_dir, exist_ok=True)
-    results: list[BerCurve] = []
-    for bits in curves:
-        cfg = replace(config, feedback_bits=bits)
-        label = _curve_label(bits)
-        print(f"# {label}", file=stream)
 
-        def show(point):
-            flag = "" if point.converged else "  (low confidence)"
-            print(
-                f"  snr {point.snr_db:6.2f} dB   ber {point.ber:.6g}   "
-                f"({point.bit_errors} errors / {point.bits_sent} bits)"
-                f"{flag}",
-                file=stream,
-            )
+    def show(label, point):
+        flag = "" if point.converged else "  (low confidence)"
+        print(
+            f"{label:<8} snr {point.snr_db:6.2f} dB   ber {point.ber:.6g}   "
+            f"({point.bit_errors} errors / {point.bits_sent} bits){flag}",
+            file=stream,
+        )
 
-        curve = run_sweep(cfg, label=label, n_workers=n_workers, on_point=show)
-        results.append(curve)
-        write_curve_csv(curve, os.path.join(out_dir, f"{label}.csv"))
+    results = run_sweeps(config, curves, n_workers=n_workers, on_point=show)
+    for curve in results:
+        write_curve_csv(curve, os.path.join(out_dir, f"{curve.label}.csv"))
     manifest = {
         "config": config.to_dict(),
         "curves": [
@@ -172,24 +160,19 @@ def run_experiment(
     with open(os.path.join(out_dir, "manifest.json"), "w") as f:
         json.dump(manifest, f, indent=2, sort_keys=True)
         f.write("\n")
-    _print_summary(results, stream)
+    _print_summary(config, results, stream)
     return results
 
 
-def _print_summary(results: list[BerCurve], stream) -> None:
+def _print_summary(config: SimConfig, results: list[BerCurve], stream) -> None:
     print("\nsummary (ber per snr point):", file=stream)
     header = "snr_db".rjust(8) + "".join(
         c.label.rjust(14) for c in results
     )
     print(header, file=stream)
-    grids = {c.label: {p.snr_db: p for p in c.points} for c in results}
-    all_snrs = sorted({p.snr_db for c in results for p in c.points})
-    for snr in all_snrs:
-        cells = []
-        for c in results:
-            p = grids[c.label].get(snr)
-            cells.append(f"{p.ber:.4e}".rjust(14) if p else "-".rjust(14))
-        print(f"{snr:8.2f}" + "".join(cells), file=stream)
+    for snr, *row in zip(config.snr_db_points, *(c.points for c in results)):
+        cells = "".join(f"{p.ber:.4e}".rjust(14) for p in row)
+        print(f"{snr:8.2f}{cells}", file=stream)
     perfect = next(
         (c for c in results if c.config.feedback_bits is None), None
     )

@@ -32,8 +32,10 @@ MAX_BITS = 20
 _HEADER = struct.Struct("<III")  # dim, bits, seed
 
 # Element budget for one chunk of the (trials, subcarriers, receive
-# antennas, codewords) amplitude tensor: 2**21 complex128 values, 32 MB.
-_GAIN_BUDGET = 1 << 21
+# antennas, codewords) amplitude tensor: 2**19 complex128 values, 8 MB.
+# The simulator stacks whole trials up to it, so a trial that fits is
+# scored in one chunk, the same in a block of any size.
+_GAIN_BUDGET = 1 << 19
 
 
 class CodebookTooLargeError(ValueError):

@@ -14,20 +14,23 @@ SNR on subcarrier k is ``rho * ||H_k b_k||^2`` for a unit direction
 
 Reproducibility: trial ``i`` draws everything from
 ``SeedSequence([master_seed, i])`` in a fixed order (data bits, taps,
-pilot noise when CSI is estimated, data noise, codebook seed when a
-fresh codebook is used).  The codebook seed comes last, so a trial's
-channel and noise are the same on every curve of one link.  Draws do
-not depend on the SNR point or on how trials are batched across
-workers, so sweeps share common random numbers across SNR points and
-curves, and results are bit-identical for any worker count.
+pilot noise when CSI is estimated, data noise, codebook seed).  The
+codebook seed comes last, so a trial's channel and noise are the same
+on every curve of one link.  One loop over whole 256-trial batches
+serves every SNR point and curve: each batch is drawn once and scored
+for every (curve, SNR) pair still running, and each pair stops on its
+own rule.  Draws depend on neither the pair nor the worker count, so
+sweeps share common random numbers across SNR points and curves, and
+results are bit-identical for any worker count.
 """
 
 from __future__ import annotations
 
+import itertools
 import multiprocessing
 import numbers
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -49,6 +52,7 @@ __all__ = [
     "awgn",
     "run_trial",
     "run_sweep",
+    "run_sweeps",
     "trial_effective_gains",
     "snr_at_ber",
     "write_curve_csv",
@@ -370,23 +374,23 @@ def _fixed_codebook(config: SimConfig) -> Codebook | None:
 
 
 def _draw_block(config: SimConfig, start: int, count: int):
-    """Per-trial random draws for trials [start, start+count).
+    """Per-trial random draws for trials [start, start+count), with the
+    taps already transformed to the (T, N, n_r, n_t) subcarrier channel.
 
     The draw order within a trial is fixed (bits, taps, pilot noise,
-    data noise, codebook seed) and never depends on the SNR point.
+    data noise, codebook seed) and depends on neither the SNR point nor
+    the curve's feedback budget.
     """
     n = config.n_subcarriers
     bps = config.bits_per_symbol
-    want_seed = config.feedback_bits is not None and config.fresh_codebook
-    want_pilot = config.csi_mode == "estimated"
     bits = np.empty((count, n * bps), dtype=np.uint8)
     taps = np.empty(
         (count, config.n_taps, config.n_r, config.n_t), dtype=np.complex128
     )
-    cb_seeds = np.empty(count, dtype=np.int64) if want_seed else None
+    cb_seeds = np.empty(count, dtype=np.int64)
     pilot = (
         np.empty((count, n, config.n_r, config.n_pilots), dtype=np.complex128)
-        if want_pilot
+        if config.csi_mode == "estimated"
         else None
     )
     noise = np.empty((count, n, config.n_r), dtype=np.complex128)
@@ -397,20 +401,20 @@ def _draw_block(config: SimConfig, start: int, count: int):
         taps[i] = _complex_normal(
             rng, (config.n_taps, config.n_r, config.n_t), tap_scale
         )
-        if want_pilot:
+        if pilot is not None:
             pilot[i] = _complex_normal(
                 rng, (n, config.n_r, config.n_pilots), np.sqrt(0.5)
             )
         noise[i] = _complex_normal(rng, (n, config.n_r), np.sqrt(0.5))
-        if want_seed:
-            cb_seeds[i] = rng.integers(0, 2**32)
-    return bits, taps, cb_seeds, pilot, noise
+        cb_seeds[i] = rng.integers(0, 2**32)
+    h = np.fft.fft(taps, n=n, axis=1)
+    return bits, h, cb_seeds, pilot, noise
 
 
 def _beam_directions(
     config: SimConfig,
     hr: np.ndarray,
-    cb_seeds: np.ndarray | None,
+    cb_seeds: np.ndarray,
     fixed_cb: Codebook | None,
 ) -> np.ndarray:
     """Unit transmit directions per trial and subcarrier from receiver CSI.
@@ -423,94 +427,110 @@ def _beam_directions(
     if config.feedback_bits is None:
         v, _ = dominant_right_eigvec_batch(hr.reshape(t * n, n_r, n_t))
         return v.reshape(t, n, n_t)
-    if fixed_cb is not None:
-        sel, _ = _best_codewords(hr, fixed_cb.vectors)
-        return fixed_cb.vectors[sel]
-    # fresh codebooks: stack as many trials as fit the gain budget
+    # stack as many trials as fit the gain budget; one trial's codewords
+    # are then scored in one chunk, whatever the block size
     k = 1 << config.feedback_bits
     step = max(1, _GAIN_BUDGET // (n * k * n_r))
     beams = np.empty((t, n, n_t), dtype=np.complex128)
     for lo in range(0, t, step):
-        w = np.stack([
-            gen_rvq(n_t, config.feedback_bits, int(seed)).vectors
-            for seed in cb_seeds[lo : lo + step]
-        ])
+        seeds = cb_seeds[lo : lo + step]
+        if fixed_cb is None:
+            w = np.stack([
+                gen_rvq(n_t, config.feedback_bits, int(seed)).vectors
+                for seed in seeds
+            ])
+        else:
+            w = np.broadcast_to(fixed_cb.vectors, (len(seeds), k, n_t))
         sel, _ = _best_codewords(hr[lo : lo + step], w)
-        beams[lo : lo + step] = w[np.arange(w.shape[0])[:, None], sel]
+        beams[lo : lo + step] = w[np.arange(len(seeds))[:, None], sel]
     return beams
 
 
-def _run_block(
+def _receiver_link(
     config: SimConfig,
     snr_db: float,
-    start: int,
-    count: int,
+    h: np.ndarray,
+    pilot: np.ndarray | None,
+    cb_seeds: np.ndarray,
     fixed_cb: Codebook | None,
-    collect_gains: bool = False,
 ):
-    """Simulate trials [start, start+count) at one SNR point.
+    """The receiver's side of one curve at one SNR point.
 
-    Returns ``(bits_sent, bit_errors, null_skips)`` summed over the
-    block, plus a diagnostics dict when ``collect_gains`` is set.  All
-    per-trial math is elementwise over trials, so any partition of a
-    trial range into blocks produces identical totals.
+    Returns ``(hr, beams, comb, ok)``: the receiver's channel knowledge
+    (the LS estimate under estimated CSI, else ``h``), the unit beam
+    directions selected from it, the unit MRC combiners, and the mask of
+    subcarriers whose effective channel ``hr_k b_k`` is nonzero.
     """
-    if count <= 0:
-        return (0, 0, 0, None) if collect_gains else (0, 0, 0)
-    n = config.n_subcarriers
-    bps = config.bits_per_symbol
-    bits, taps, cb_seeds, pilot, noise = _draw_block(config, start, count)
-    h = np.fft.fft(taps, n=n, axis=1)  # (T, N, n_r, n_t)
-    rho = 10.0 ** (snr_db / 10.0)
     if config.csi_mode == "estimated":
         training = make_phase_shift_training(config.n_t, config.n_pilots)
         if config.pilot_snr_db is None:
-            rho_p = rho / config.n_t
+            rho_p = 10.0 ** (snr_db / 10.0) / config.n_t
         else:
             rho_p = 10.0 ** (config.pilot_snr_db / 10.0)
         amp = np.sqrt(rho_p)
-        y_pilot = amp * (h @ training.symbols) + pilot
-        hr = ls_estimate(y_pilot, training) / amp
+        hr = ls_estimate(amp * (h @ training.symbols) + pilot, training) / amp
     else:
         hr = h
     beams = _beam_directions(config, hr, cb_seeds, fixed_cb)
-    # uniform split of the block power budget: every row gets norm
-    # sqrt(rho), i.e. per-subcarrier power rho
-    scaled = apply_power_constraint(
-        beams.reshape(count * n, config.n_t), count * n * rho
-    ).reshape(count, n, config.n_t)
     # receiver-side combiner from its channel knowledge
     t_eff = np.einsum("tnij,tnj->tni", hr, beams)
     t_norm = np.sqrt((np.abs(t_eff) ** 2).sum(axis=2))
     ok = t_norm > 0.0
     comb = t_eff / np.where(ok, t_norm, 1.0)[:, :, None]
     comb[~ok] = 0.0
-    # transmit through the true channel
+    return hr, beams, comb, ok
+
+
+def _run_block(
+    configs: list[SimConfig],
+    active: np.ndarray,
+    start: int,
+    count: int,
+    fixed_cbs: list[Codebook | None],
+) -> np.ndarray:
+    """Simulate trials [start, start+count) for the running pairs.
+
+    ``configs`` are the curves of one link (they differ only in
+    ``feedback_bits``), ``active`` masks the running (curve, SNR) pairs
+    and ``fixed_cbs`` holds each curve's shared codebook.  The block is
+    drawn once and beams are selected once per curve (per SNR point
+    when the pilot power follows the SNR).  Returns an int64 (curves,
+    SNR points, 3) array of bits sent, bit errors and null skips, zero
+    where inactive.  All per-trial math is elementwise over trials, so
+    any partition of a trial range into blocks gives identical totals.
+    """
+    config = configs[0]
+    n = config.n_subcarriers
+    bps = config.bits_per_symbol
+    bits, h, cb_seeds, pilot, noise = _draw_block(config, start, count)
     x = modulate(bits.reshape(-1), config.modulation).reshape(count, n)
-    rx = np.einsum("tnij,tnj->tni", h, scaled) * x[:, :, None] + noise
-    x_hat = np.einsum("tni,tni->tn", comb.conj(), rx)
-    rx_bits = demodulate(x_hat.reshape(-1), config.modulation).reshape(
-        count, n * bps
-    )
-    ok_bits = np.repeat(ok, bps, axis=1)
-    bit_errors = int(((rx_bits != bits) & ok_bits).sum())
-    bits_sent = int(ok.sum()) * bps
-    null_skips = int((~ok).sum())
-    if collect_gains:
-        gains = np.einsum(
-            "tni,tni->tn",
-            comb.conj(),
-            np.einsum("tnij,tnj->tni", h, beams),
-        )
-        diag = {
-            "gains": gains,
-            "ok": ok,
-            "channel": h,
-            "rx_channel": hr,
-            "beams": beams,
-        }
-        return bits_sent, bit_errors, null_skips, diag
-    return bits_sent, bit_errors, null_skips
+    per_snr = config.csi_mode == "estimated" and config.pilot_snr_db is None
+    out = np.zeros(active.shape + (3,), dtype=np.int64)
+    for c, cfg in enumerate(configs):
+        link = None
+        for s, snr_db in enumerate(config.snr_db_points):
+            if not active[c, s]:
+                continue
+            if link is None or per_snr:
+                link = _receiver_link(
+                    cfg, snr_db, h, pilot, cb_seeds, fixed_cbs[c]
+                )
+            _, beams, comb, ok = link
+            rho = 10.0 ** (snr_db / 10.0)
+            # uniform split of the block power budget: every row gets
+            # norm sqrt(rho), i.e. per-subcarrier power rho
+            scaled = apply_power_constraint(
+                beams.reshape(count * n, config.n_t), count * n * rho
+            ).reshape(count, n, config.n_t)
+            # transmit through the true channel
+            rx = np.einsum("tnij,tnj->tni", h, scaled) * x[:, :, None] + noise
+            x_hat = np.einsum("tni,tni->tn", comb.conj(), rx)
+            rx_bits = demodulate(x_hat.reshape(-1), config.modulation).reshape(
+                count, n * bps
+            )
+            errors = (rx_bits != bits) & np.repeat(ok, bps, axis=1)
+            out[c, s] = ok.sum() * bps, errors.sum(), (~ok).sum()
+    return out
 
 
 def run_trial(config: SimConfig, snr_db: float, trial_index: int) -> TrialResult:
@@ -522,9 +542,10 @@ def run_trial(config: SimConfig, snr_db: float, trial_index: int) -> TrialResult
     """
     config.validate()
     res = _run_block(
-        config, snr_db, trial_index, 1, _fixed_codebook(config)
+        [replace(config, snr_db_points=(snr_db,))], np.ones((1, 1), bool),
+        trial_index, 1, [_fixed_codebook(config)],
     )
-    return TrialResult(*res)
+    return TrialResult(*res[0, 0].tolist())
 
 
 def trial_effective_gains(
@@ -538,105 +559,92 @@ def trial_effective_gains(
     post-combining SNR on subcarrier k is ``rho * |gains[k]|^2``.
     """
     config.validate()
-    *_, diag = _run_block(
-        config, snr_db, trial_index, 1, _fixed_codebook(config), True
+    _, h, cb_seeds, pilot, _ = _draw_block(config, trial_index, 1)
+    hr, beams, comb, ok = _receiver_link(
+        config, snr_db, h, pilot, cb_seeds, _fixed_codebook(config)
     )
-    return {k: (v[0] if hasattr(v, "shape") else v) for k, v in diag.items()}
+    gains = np.einsum(
+        "tni,tni->tn", comb.conj(), np.einsum("tnij,tnj->tni", h, beams)
+    )
+    return {"gains": gains[0], "ok": ok[0], "channel": h[0],
+            "rx_channel": hr[0], "beams": beams[0]}
 
 
-def _split_ranges(start: int, count: int, parts: int):
-    """Contiguous (start, count) chunks covering [start, start+count)."""
-    base, extra = divmod(count, parts)
-    out = []
-    cursor = start
-    for i in range(parts):
-        size = base + (1 if i < extra else 0)
-        if size:
-            out.append((cursor, size))
-        cursor += size
-    return out
-
-
-def run_sweep(
+def run_sweeps(
     config: SimConfig,
-    label: str | None = None,
+    curves: list[int | None],
     n_workers: int = 1,
-    on_point: Callable[[BerPoint], None] | None = None,
-) -> BerCurve:
-    """Run the BER sweep described by ``config`` and return its curve.
+    on_point: Callable[[str, BerPoint], None] | None = None,
+) -> list[BerCurve]:
+    """Run one BER curve per feedback budget in ``curves`` (None for
+    unquantized CSI) over the SNR grid of ``config``.
 
-    Each SNR point simulates trials in fixed batches of
-    ``TRIALS_PER_BATCH`` (trial indices restart at 0 per point, sharing
-    channels across points and curves) until ``target_errors`` bit
-    errors are counted or ``max_bits`` bits are sent.  ``n_workers``
-    distributes batches over processes; 0 picks the CPU count.  The
-    result is identical for every worker count.
+    Trials run in fixed batches of ``TRIALS_PER_BATCH`` from trial 0.
+    Each batch is drawn once and scored for every (curve, SNR) pair
+    still running; a pair stops once it has counted ``target_errors``
+    bit errors or sent ``max_bits`` bits, and ``on_point(label, point)``
+    is called as it does.  ``n_workers`` processes (0 picks the CPU
+    count) take whole batches; results are reduced in batch order and a
+    pair ignores batches past its stopping point, so the result is
+    identical for every worker count.
     """
-    config.validate()
-    if label is None:
-        label = (
-            "perfect"
-            if config.feedback_bits is None
-            else f"rvq-b{config.feedback_bits}"
-        )
-    if n_workers == 0:
-        n_workers = os.cpu_count() or 1
-    fixed_cb = _fixed_codebook(config)
+    configs = [replace(config, feedback_bits=bits) for bits in curves]
+    for cfg in configs:
+        cfg.validate()
+    labels = ["perfect" if bits is None else f"rvq-b{bits}" for bits in curves]
+    n_workers = max(1, n_workers or os.cpu_count() or 1)
+    fixed_cbs = [_fixed_codebook(cfg) for cfg in configs]
+    snrs = config.snr_db_points
+    totals = np.zeros((len(configs), len(snrs), 3), dtype=np.int64)
+    active = np.ones(totals.shape[:2], dtype=bool)
+    points: dict[tuple[int, int], BerPoint] = {}
     pool = multiprocessing.Pool(n_workers) if n_workers > 1 else None
-    points = []
+    starmap = itertools.starmap if pool is None else pool.starmap
+    next_trial = 0
     try:
-        for snr_db in config.snr_db_points:
-            bits_sent = 0
-            bit_errors = 0
-            null_skips = 0
-            next_trial = 0
-            while (
-                bit_errors < config.target_errors
-                and bits_sent < config.max_bits
-            ):
-                if pool is not None:
-                    tasks = [
-                        (config, snr_db, s, c, fixed_cb)
-                        for s, c in _split_ranges(
-                            next_trial, TRIALS_PER_BATCH, n_workers
-                        )
-                    ]
-                    results = pool.starmap(_run_block, tasks)
-                else:
-                    results = [
-                        _run_block(
-                            config, snr_db, next_trial, TRIALS_PER_BATCH,
-                            fixed_cb,
-                        )
-                    ]
-                for b, e, s in results:
-                    bits_sent += b
-                    bit_errors += e
-                    null_skips += s
-                next_trial += TRIALS_PER_BATCH
-            ber = bit_errors / bits_sent if bits_sent else 0.0
-            half = (
-                1.96 * np.sqrt(ber * (1.0 - ber) / bits_sent)
-                if bits_sent
-                else 0.0
-            )
-            point = BerPoint(
-                snr_db=float(snr_db),
-                bits_sent=bits_sent,
-                bit_errors=bit_errors,
-                ber=ber,
-                half_width_95=float(half),
-                converged=bit_errors >= config.target_errors,
-                null_skips=null_skips,
-            )
-            points.append(point)
-            if on_point is not None:
-                on_point(point)
+        while active.any():
+            tasks = [
+                (configs, active, next_trial + i * TRIALS_PER_BATCH,
+                 TRIALS_PER_BATCH, fixed_cbs)
+                for i in range(n_workers)
+            ]
+            next_trial += n_workers * TRIALS_PER_BATCH
+            for block in starmap(_run_block, tasks):
+                totals += block
+                bits_sent, bit_errors = totals[..., 0], totals[..., 1]
+                done = active & (
+                    (bit_errors >= config.target_errors)
+                    | (bits_sent >= config.max_bits)
+                )
+                active = active & ~done
+                for c, s in zip(*np.nonzero(done)):
+                    b, e, skips = totals[c, s].tolist()
+                    ber = e / b if b else 0.0
+                    half = 1.96 * np.sqrt(ber * (1.0 - ber) / b) if b else 0.0
+                    points[c, s] = BerPoint(
+                        snr_db=float(snrs[s]),
+                        bits_sent=b,
+                        bit_errors=e,
+                        ber=ber,
+                        half_width_95=float(half),
+                        converged=e >= config.target_errors,
+                        null_skips=skips,
+                    )
+                    if on_point is not None:
+                        on_point(labels[c], points[c, s])
     finally:
         if pool is not None:
             pool.close()
             pool.join()
-    return BerCurve(label=label, config=config, points=tuple(points))
+    return [
+        BerCurve(labels[c], cfg, tuple(points[c, s] for s in range(len(snrs))))
+        for c, cfg in enumerate(configs)
+    ]
+
+
+def run_sweep(config: SimConfig, n_workers: int = 1) -> BerCurve:
+    """The BER curve of ``config`` alone, through :func:`run_sweeps`."""
+    return run_sweeps(config, [config.feedback_bits], n_workers)[0]
 
 
 def snr_at_ber(curve: BerCurve, target: float) -> float | None:

@@ -1,8 +1,11 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import lfbeam.simulator
 from lfbeam.channel import _complex_normal, gen_selective_taps
 from lfbeam.codebook import gen_rvq
 from lfbeam.simulator import (
@@ -13,12 +16,14 @@ from lfbeam.simulator import (
     SimConfig,
     TRIALS_PER_BATCH,
     _draw_block,
+    _fixed_codebook,
     _run_block,
     _trial_rng,
     awgn,
     demodulate,
     modulate,
     run_sweep,
+    run_sweeps,
     run_trial,
     snr_at_ber,
     trial_effective_gains,
@@ -117,25 +122,42 @@ def test_trial_counts_are_consistent():
     assert r.null_skips == 0
 
 
-def test_blocks_partition_invariant():
-    """Any split of a trial range gives identical totals."""
-    cfg = SimConfig(**FAST)
-    whole = _run_block(cfg, 6.0, 0, 32, None)
+def test_blocks_partition_invariant(monkeypatch):
+    """Any split of a trial range gives identical totals for every
+    (curve, SNR) pair, and identical codeword scores even for a fixed
+    512-word codebook on 48 subcarriers, where scores once depended on
+    the block size."""
+    scores = []
+    best = lfbeam.simulator._best_codewords
+
+    def spy(h, vectors):
+        idx, gain = best(h, vectors)
+        scores.append(gain)
+        return idx, gain
+
+    monkeypatch.setattr(lfbeam.simulator, "_best_codewords", spy)
+    cfg = SimConfig(**dict(FAST, n_subcarriers=48))
+    configs = [cfg, replace(cfg, feedback_bits=9, fresh_codebook=False)]
+    cbs = [None, _fixed_codebook(configs[1])]
+    active = np.ones((2, len(cfg.snr_db_points)), dtype=bool)
+    whole = _run_block(configs, active, 0, 256, cbs)
+    whole_scores = np.concatenate(scores)
+    scores.clear()
     pieces = [
-        _run_block(cfg, 6.0, 0, 5, None),
-        _run_block(cfg, 6.0, 5, 11, None),
-        _run_block(cfg, 6.0, 16, 16, None),
+        _run_block(configs, active, start, count, cbs)
+        for start, count in ((0, 5), (5, 123), (128, 128))
     ]
-    summed = tuple(sum(p[i] for p in pieces) for i in range(3))
-    assert whole == summed
+    assert np.array_equal(whole, sum(pieces))
+    assert np.array_equal(whole_scores, np.concatenate(scores))
 
 
 def test_block_of_one_equals_run_trial():
     cfg = SimConfig(feedback_bits=2, **FAST)
+    active = np.array([[False, True]])  # only the 6 dB point
     for idx in (0, 9):
-        assert tuple(run_trial(cfg, 6.0, idx)) == _run_block(
-            cfg, 6.0, idx, 1, None
-        )
+        block = _run_block([cfg], active, idx, 1, [None])
+        assert tuple(run_trial(cfg, 6.0, idx)) == tuple(block[0, 1])
+        assert not block[0, 0].any()
 
 
 def test_noiseless_trials_have_zero_errors():
@@ -256,10 +278,23 @@ def test_sweep_csv_shape_and_values():
 
 
 def test_sweep_worker_count_does_not_change_results():
+    """Workers take whole batches and each (curve, SNR) pair stops on its
+    own rule, so every curve of a joint sweep equals that curve swept
+    alone, also at 3 workers, where pairs stop in the middle of a round."""
     cfg = SimConfig(**FAST)
     solo = run_sweep(cfg, n_workers=1)
     duo = run_sweep(cfg, n_workers=2)
     assert solo.to_csv_text() == duo.to_csv_text()
+    cfg = SimConfig(snr_db_points=(0.0, 6.0, 12.0), target_errors=300,
+                    max_bits=100_000)
+    curves = [None, 0, 3]
+    alone = [
+        run_sweep(replace(cfg, feedback_bits=bits)).to_csv_text()
+        for bits in curves
+    ]
+    for workers in (1, 3):
+        joint = run_sweeps(cfg, curves, n_workers=workers)
+        assert [c.to_csv_text() for c in joint] == alone
 
 
 def test_sweep_ber_non_increasing():
