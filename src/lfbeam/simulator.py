@@ -12,11 +12,13 @@ subcarrier's beam carries power ``rho = 10**(snr_db/10)``, so
 SNR on subcarrier k is ``rho * ||H_k b_k||^2`` for a unit direction
 ``b_k``.
 
-Reproducibility: trial ``i`` draws everything from
-``SeedSequence([master_seed, i])`` in a fixed order (data bits, taps,
-pilot noise when CSI is estimated, data noise, codebook seed).  The
-codebook seed comes last, so a trial's channel and noise are the same
-on every curve of one link.  One loop over whole 256-trial batches
+Reproducibility: trials come in fixed batches of 256, and batch ``b``
+(trials ``256*b`` to ``256*b + 255``) draws everything from one stream,
+``SeedSequence([master_seed, b])``, one call per array in a fixed order:
+data bits, taps, pilot noise when CSI is estimated, data noise,
+codebook seeds, 256 rows each.  A trial's draws are its row of each
+array.  The codebook seeds come last, so a trial's channel and noise
+are the same on every curve of one link.  One loop over whole batches
 serves every SNR point and curve: each batch is drawn once and scored
 for every (curve, SNR) pair still running, and each pair stops on its
 own rule.  Draws depend on neither the pair nor the worker count, so
@@ -71,7 +73,7 @@ _INT_FIELDS = ("n_t", "n_r", "n_subcarriers", "n_taps", "n_pilots",
 TRIALS_PER_BATCH = 256
 
 # SeedSequence stream key for the shared codebook in fixed-codebook
-# mode; far outside any reachable trial index.
+# mode; far outside any reachable batch index.
 _CODEBOOK_STREAM = 2**62 + 11
 
 
@@ -355,12 +357,6 @@ def awgn(
     )
 
 
-def _trial_rng(master_seed: int, trial_index: int) -> np.random.Generator:
-    return np.random.default_rng(
-        np.random.SeedSequence([int(master_seed), int(trial_index)])
-    )
-
-
 def _fixed_codebook(config: SimConfig) -> Codebook | None:
     """The shared codebook used when ``fresh_codebook`` is off."""
     if config.feedback_bits is None or config.fresh_codebook:
@@ -373,41 +369,50 @@ def _fixed_codebook(config: SimConfig) -> Codebook | None:
     return gen_rvq(config.n_t, config.feedback_bits, seed)
 
 
-def _draw_block(config: SimConfig, start: int, count: int):
-    """Per-trial random draws for trials [start, start+count), with the
-    taps already transformed to the (T, N, n_r, n_t) subcarrier channel.
-
-    The draw order within a trial is fixed (bits, taps, pilot noise,
-    data noise, codebook seed) and depends on neither the SNR point nor
-    the curve's feedback budget.
-    """
-    n = config.n_subcarriers
-    bps = config.bits_per_symbol
-    bits = np.empty((count, n * bps), dtype=np.uint8)
-    taps = np.empty(
-        (count, config.n_taps, config.n_r, config.n_t), dtype=np.complex128
+def _draw_batch(config: SimConfig, batch: int):
+    """Bits, taps, pilot noise (None under perfect CSI), data noise and
+    codebook seeds of all trials of batch ``batch``, drawn from its one
+    stream in that order, one call per array."""
+    rng = np.random.default_rng(
+        np.random.SeedSequence([int(config.master_seed), batch])
     )
-    cb_seeds = np.empty(count, dtype=np.int64)
+    t, n = TRIALS_PER_BATCH, config.n_subcarriers
+    bits = rng.integers(
+        0, 2, size=(t, n * config.bits_per_symbol), dtype=np.uint8
+    )
+    taps = _complex_normal(
+        rng, (t, config.n_taps, config.n_r, config.n_t),
+        np.sqrt(0.5 / config.n_taps),
+    )
     pilot = (
-        np.empty((count, n, config.n_r, config.n_pilots), dtype=np.complex128)
+        _complex_normal(rng, (t, n, config.n_r, config.n_pilots), np.sqrt(0.5))
         if config.csi_mode == "estimated"
         else None
     )
-    noise = np.empty((count, n, config.n_r), dtype=np.complex128)
-    tap_scale = np.sqrt(0.5 / config.n_taps)
-    for i in range(count):
-        rng = _trial_rng(config.master_seed, start + i)
-        bits[i] = rng.integers(0, 2, size=n * bps, dtype=np.uint8)
-        taps[i] = _complex_normal(
-            rng, (config.n_taps, config.n_r, config.n_t), tap_scale
-        )
-        if pilot is not None:
-            pilot[i] = _complex_normal(
-                rng, (n, config.n_r, config.n_pilots), np.sqrt(0.5)
-            )
-        noise[i] = _complex_normal(rng, (n, config.n_r), np.sqrt(0.5))
-        cb_seeds[i] = rng.integers(0, 2**32)
-    h = np.fft.fft(taps, n=n, axis=1)
+    noise = _complex_normal(rng, (t, n, config.n_r), np.sqrt(0.5))
+    cb_seeds = rng.integers(0, 2**32, size=t)
+    return bits, taps, pilot, noise, cb_seeds
+
+
+def _draw_block(config: SimConfig, start: int, count: int):
+    """Random draws of trials [start, start+count): ``(bits, h, cb_seeds,
+    pilot, noise)`` with the taps already transformed to the (T, N, n_r,
+    n_t) subcarrier channel ``h``.
+
+    Every batch the range touches is drawn whole (see the module
+    docstring) and the range's rows are cut out, so a trial's draws
+    depend only on the master seed and the trial index: not on the
+    block it is simulated in, the SNR point or the curve.
+    """
+    first = start // TRIALS_PER_BATCH
+    stop = -(-(start + count) // TRIALS_PER_BATCH)
+    batches = [_draw_batch(config, b) for b in range(first, stop)]
+    lo = start - first * TRIALS_PER_BATCH
+    bits, taps, pilot, noise, cb_seeds = (
+        None if parts[0] is None else np.concatenate(parts)[lo : lo + count]
+        for parts in zip(*batches)
+    )
+    h = np.fft.fft(taps, n=config.n_subcarriers, axis=1)
     return bits, h, cb_seeds, pilot, noise
 
 
@@ -538,7 +543,8 @@ def run_trial(config: SimConfig, snr_db: float, trial_index: int) -> TrialResult
 
     ``bits_sent`` excludes subcarriers skipped because the receiver's
     effective channel ``H_k b_k`` was exactly zero; ``null_skips``
-    counts them.
+    counts them.  The trial's draws come from its batch's stream, so
+    one call draws the whole 256-trial batch and uses one row of it.
     """
     config.validate()
     res = _run_block(
@@ -556,7 +562,8 @@ def trial_effective_gains(
     Returns a dict with the per-subcarrier complex direction gains
     ``a^H H b`` (``gains``), the skip mask (``ok``), the true and
     receiver-side channels, and the unit beam directions.  The
-    post-combining SNR on subcarrier k is ``rho * |gains[k]|^2``.
+    post-combining SNR on subcarrier k is ``rho * |gains[k]|^2``.  Like
+    :func:`run_trial`, one call draws the trial's whole batch.
     """
     config.validate()
     _, h, cb_seeds, pilot, _ = _draw_block(config, trial_index, 1)
@@ -568,6 +575,24 @@ def trial_effective_gains(
     )
     return {"gains": gains[0], "ok": ok[0], "channel": h[0],
             "rx_channel": hr[0], "beams": beams[0]}
+
+
+# (configs, fixed codebooks) of the sweep this process serves: set once
+# per pool worker by the initializer, so a task carries only its batch
+_served: tuple = (None, None)
+
+
+def _serve(configs: list[SimConfig], fixed_cbs: list[Codebook | None]):
+    """Serve the sweep of ``configs`` from now on; returns the sweep
+    served before."""
+    global _served
+    before, _served = _served, (configs, fixed_cbs)
+    return before
+
+
+def _run_task(active: np.ndarray, start: int, count: int) -> np.ndarray:
+    configs, fixed_cbs = _served
+    return _run_block(configs, active, start, count, fixed_cbs)
 
 
 def run_sweeps(
@@ -584,9 +609,10 @@ def run_sweeps(
     still running; a pair stops once it has counted ``target_errors``
     bit errors or sent ``max_bits`` bits, and ``on_point(label, point)``
     is called as it does.  ``n_workers`` processes (0 picks the CPU
-    count) take whole batches; results are reduced in batch order and a
-    pair ignores batches past its stopping point, so the result is
-    identical for every worker count.
+    count) take whole batches, up to one each per round but no more than
+    the bit cap of the running pairs can still use; results are reduced
+    in batch order and a pair ignores batches past its stopping point,
+    so the result is identical for every worker count.
     """
     configs = [replace(config, feedback_bits=bits) for bits in curves]
     for cfg in configs:
@@ -598,18 +624,29 @@ def run_sweeps(
     totals = np.zeros((len(configs), len(snrs), 3), dtype=np.int64)
     active = np.ones(totals.shape[:2], dtype=bool)
     points: dict[tuple[int, int], BerPoint] = {}
-    pool = multiprocessing.Pool(n_workers) if n_workers > 1 else None
-    starmap = itertools.starmap if pool is None else pool.starmap
+    batch_bits = (
+        TRIALS_PER_BATCH * config.n_subcarriers * config.bits_per_symbol
+    )
+    # the serial run serves itself, so both run the same tasks
+    if n_workers > 1:
+        pool = multiprocessing.Pool(n_workers, _serve, (configs, fixed_cbs))
+        starmap = pool.starmap
+    else:
+        pool, starmap = None, itertools.starmap
+        before = _serve(configs, fixed_cbs)
     next_trial = 0
     try:
         while active.any():
+            # null skips send fewer bits, so this is a lower bound and a
+            # later round picks up any shortfall
+            left = config.max_bits - totals[..., 0][active].min()
+            n_batches = min(n_workers, -(-int(left) // batch_bits))
             tasks = [
-                (configs, active, next_trial + i * TRIALS_PER_BATCH,
-                 TRIALS_PER_BATCH, fixed_cbs)
-                for i in range(n_workers)
+                (active, next_trial + i * TRIALS_PER_BATCH, TRIALS_PER_BATCH)
+                for i in range(n_batches)
             ]
-            next_trial += n_workers * TRIALS_PER_BATCH
-            for block in starmap(_run_block, tasks):
+            next_trial += n_batches * TRIALS_PER_BATCH
+            for block in starmap(_run_task, tasks):
                 totals += block
                 bits_sent, bit_errors = totals[..., 0], totals[..., 1]
                 done = active & (
@@ -633,7 +670,9 @@ def run_sweeps(
                     if on_point is not None:
                         on_point(labels[c], points[c, s])
     finally:
-        if pool is not None:
+        if pool is None:
+            _serve(*before)
+        else:
             pool.close()
             pool.join()
     return [

@@ -1,3 +1,5 @@
+import multiprocessing.pool
+import pickle
 from dataclasses import replace
 
 import numpy as np
@@ -6,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lfbeam.simulator
-from lfbeam.channel import _complex_normal, gen_selective_taps
+from lfbeam.channel import _complex_normal
 from lfbeam.codebook import gen_rvq
 from lfbeam.simulator import (
     BerCurve,
@@ -18,7 +20,6 @@ from lfbeam.simulator import (
     _draw_block,
     _fixed_codebook,
     _run_block,
-    _trial_rng,
     awgn,
     demodulate,
     modulate,
@@ -126,7 +127,7 @@ def test_blocks_partition_invariant(monkeypatch):
     """Any split of a trial range gives identical totals for every
     (curve, SNR) pair, and identical codeword scores even for a fixed
     512-word codebook on 48 subcarriers, where scores once depended on
-    the block size."""
+    the block size; also for pieces that straddle a batch boundary."""
     scores = []
     best = lfbeam.simulator._best_codewords
 
@@ -140,15 +141,20 @@ def test_blocks_partition_invariant(monkeypatch):
     configs = [cfg, replace(cfg, feedback_bits=9, fresh_codebook=False)]
     cbs = [None, _fixed_codebook(configs[1])]
     active = np.ones((2, len(cfg.snr_db_points)), dtype=bool)
-    whole = _run_block(configs, active, 0, 256, cbs)
-    whole_scores = np.concatenate(scores)
-    scores.clear()
-    pieces = [
-        _run_block(configs, active, start, count, cbs)
-        for start, count in ((0, 5), (5, 123), (128, 128))
-    ]
-    assert np.array_equal(whole, sum(pieces))
-    assert np.array_equal(whole_scores, np.concatenate(scores))
+    for whole, pieces in (
+        ([(0, 256)], [(0, 5), (5, 123), (128, 128)]),
+        ([(0, 256), (256, 256)], [(0, 5), (5, 123), (128, 200), (328, 184)]),
+    ):
+        runs = []
+        for blocks in (whole, pieces):
+            scores.clear()
+            total = sum(
+                _run_block(configs, active, start, count, cbs)
+                for start, count in blocks
+            )
+            runs.append((total, np.concatenate(scores)))
+        assert np.array_equal(runs[0][0], runs[1][0])
+        assert np.array_equal(runs[0][1], runs[1][1])
 
 
 def test_block_of_one_equals_run_trial():
@@ -167,24 +173,42 @@ def test_noiseless_trials_have_zero_errors():
             assert run_trial(cfg, 300.0, idx).bit_errors == 0
 
 
+def _replay_batch(cfg, batch):
+    """The documented draws of one batch: bits, taps, pilot noise, data
+    noise and codebook seeds, 256 rows each, from one stream."""
+    rng = np.random.default_rng(
+        np.random.SeedSequence([cfg.master_seed, batch])
+    )
+    t, n = TRIALS_PER_BATCH, cfg.n_subcarriers
+    bits = rng.integers(0, 2, size=(t, n), dtype=np.uint8)
+    taps = _complex_normal(
+        rng, (t, cfg.n_taps, cfg.n_r, cfg.n_t), np.sqrt(0.5 / cfg.n_taps)
+    )
+    pilot = _complex_normal(rng, (t, n, cfg.n_r, cfg.n_pilots), np.sqrt(0.5))
+    noise = _complex_normal(rng, (t, n, cfg.n_r), np.sqrt(0.5))
+    seeds = rng.integers(0, 2**32, size=t)
+    h = np.fft.fft(taps, n=n, axis=1)
+    return bits, h, seeds, pilot, noise
+
+
 def test_draw_order_is_documented_order():
-    """Replaying (bits, taps, pilot noise, data noise, codebook seed)
-    from the trial stream reproduces the draws the simulator used."""
-    cfg = SimConfig(feedback_bits=3, csi_mode="estimated", **FAST)
-    n = cfg.n_subcarriers
-    d = trial_effective_gains(cfg, 6.0, 21)
-    bits, _, seeds, pilot, noise = _draw_block(cfg, 21, 1)
-    rng = _trial_rng(cfg.master_seed, 21)
-    assert np.array_equal(rng.integers(0, 2, size=n, dtype=np.uint8), bits[0])
-    taps = gen_selective_taps(cfg.n_r, cfg.n_t, cfg.n_taps, rng)
-    h = np.fft.fft(taps.taps, n=n, axis=0)
-    assert np.array_equal(h, d["channel"])
-    shape = (n, cfg.n_r, cfg.n_pilots)
-    assert np.array_equal(_complex_normal(rng, shape, np.sqrt(0.5)), pilot[0])
-    shape = (n, cfg.n_r)
-    assert np.array_equal(_complex_normal(rng, shape, np.sqrt(0.5)), noise[0])
-    seed = rng.integers(0, 2**32)
-    assert seed == seeds[0]
+    """Replaying (bits, taps, pilot noise, data noise, codebook seeds)
+    from the batch stream reproduces the draws the simulator used: for
+    a whole batch, for one trial in mid-batch and for a block that
+    straddles a batch boundary."""
+    cfg = SimConfig(feedback_bits=3, csi_mode="estimated", master_seed=7,
+                    **FAST)
+    replay = [
+        np.concatenate(arrays)
+        for arrays in zip(_replay_batch(cfg, 1), _replay_batch(cfg, 2))
+    ]
+    for start, count in ((256, 256), (256 + 21, 1), (500, 30)):
+        rows = slice(start - 256, start - 256 + count)
+        for drawn, want in zip(_draw_block(cfg, start, count), replay):
+            assert np.array_equal(drawn, want[rows])
+    d = trial_effective_gains(cfg, 6.0, 256 + 21)
+    assert np.array_equal(d["channel"], replay[1][21])
+    seed = replay[2][21]
     words = gen_rvq(cfg.n_t, cfg.feedback_bits, int(seed)).vectors
     assert all((words == beam).all(axis=1).any() for beam in d["beams"])
 
@@ -295,6 +319,59 @@ def test_sweep_worker_count_does_not_change_results():
     for workers in (1, 3):
         joint = run_sweeps(cfg, curves, n_workers=workers)
         assert [c.to_csv_text() for c in joint] == alone
+
+
+@pytest.fixture
+def pool_tasks(monkeypatch):
+    """The tasks every worker pool is sent, one ``_run_block`` call each."""
+    sent = []
+    starmap = multiprocessing.pool.Pool.starmap
+
+    def spy(self, fn, tasks, *args, **kwargs):
+        sent.extend(tasks)
+        return starmap(self, fn, tasks, *args, **kwargs)
+
+    monkeypatch.setattr(multiprocessing.pool.Pool, "starmap", spy)
+    return sent
+
+
+def test_capped_sweep_sends_no_spare_batches(monkeypatch, pool_tasks):
+    """A round sends no more batches than the bit cap can still use: a
+    capped 2-worker sweep needing 3 batches runs 3 blocks, not 4."""
+    cfg = SimConfig(snr_db_points=(20.0, 30.0), target_errors=10**6,
+                    max_bits=40_000)
+    batch_bits = TRIALS_PER_BATCH * cfg.n_subcarriers
+    calls = []
+    run_block = lfbeam.simulator._run_block
+
+    def spy(*args):
+        calls.append(args[2])
+        return run_block(*args)
+
+    monkeypatch.setattr(lfbeam.simulator, "_run_block", spy)
+    solo = run_sweep(cfg, n_workers=1)
+    duo = run_sweep(cfg, n_workers=2)
+    want = -(-cfg.max_bits // batch_bits)
+    assert want == 3
+    assert len(calls) == want  # the serial sweep runs in this process
+    assert len(pool_tasks) == want
+    assert solo.to_csv_text() == duo.to_csv_text()
+    assert all(not p.converged for p in solo.points)
+
+
+def test_tasks_do_not_carry_the_codebook(pool_tasks):
+    """Fixed codebooks reach the workers once, through the pool
+    initializer, so a task's size does not grow with the codebook."""
+    sizes = []
+    for bits in (4, 16):
+        cfg = SimConfig(n_subcarriers=4, n_taps=1, feedback_bits=bits,
+                        fresh_codebook=False, snr_db_points=(0.0,),
+                        max_bits=1)
+        pool_tasks.clear()
+        run_sweep(cfg, n_workers=2)
+        sizes.append([len(pickle.dumps(t)) for t in pool_tasks])
+    assert sizes[0] == sizes[1]
+    assert max(sizes[1]) < 1000
 
 
 def test_sweep_ber_non_increasing():
@@ -426,9 +503,11 @@ def test_config_from_dict_rejects(bad):
         SimConfig.from_dict(bad)
 
 
-@given(st.integers(0, 1000), st.integers(0, 3))
+@given(st.integers(0, 1000), st.integers(0, 600))
 @settings(max_examples=20, deadline=None)
 def test_trial_streams_are_reproducible(seed, idx):
-    a = _trial_rng(seed, idx).integers(0, 2**32, 4)
-    b = _trial_rng(seed, idx).integers(0, 2**32, 4)
-    assert np.array_equal(a, b)
+    """A trial's draws depend only on (master seed, trial index)."""
+    cfg = SimConfig(csi_mode="estimated", n_subcarriers=8, master_seed=seed)
+    a = _draw_block(cfg, idx, 1)
+    b = _draw_block(cfg, idx, 1)
+    assert all(np.array_equal(x, y) for x, y in zip(a, b))
