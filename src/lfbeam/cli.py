@@ -47,7 +47,8 @@ _DEFAULT_CURVES: dict[str | None, list[int | None]] = {
 
 
 def _parse_curve_list(raw) -> list[int | None]:
-    """Accept curve entries as scalars or {'feedback_bits': ...} dicts."""
+    """Accept curve entries as scalars or {'feedback_bits': ...} dicts;
+    each curve may appear once."""
     if not isinstance(raw, (list, tuple)) or not raw:
         raise ConfigError("curves must be a non-empty list")
     out = []
@@ -58,6 +59,8 @@ def _parse_curve_list(raw) -> list[int | None]:
             out.append(_parse_feedback_bits(entry["feedback_bits"]))
         else:
             out.append(_parse_feedback_bits(entry))
+    if len(set(out)) < len(out):
+        raise ConfigError(f"duplicate curves in {list(raw)}")
     return out
 
 
@@ -112,7 +115,7 @@ def parse_config(
     if overrides:
         o = dict(overrides)
         if "curves" in o:
-            curves = o.pop("curves")
+            curves = _parse_curve_list(o.pop("curves"))
         raw.update({k: v for k, v in o.items() if v is not None})
     config = SimConfig.from_dict(raw)
     if curves is None:

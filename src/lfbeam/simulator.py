@@ -18,10 +18,11 @@ Reproducibility: trials come in fixed batches of 256, and batch ``b``
 data bits, taps, pilot noise when CSI is estimated, data noise,
 codebook seeds, 256 rows each.  A trial's draws are its row of each
 array.  The codebook seeds come last, so a trial's channel and noise
-are the same on every curve of one link.  One loop over whole batches
-serves every SNR point and curve: each batch is drawn once and scored
-for every (curve, SNR) pair still running, and each pair stops on its
-own rule.  Draws depend on neither the pair nor the worker count, so
+are the same on every curve of one link; fresh-codebook curves also
+share the trial's codebook, each searching its own prefix of it.  One
+loop over whole batches serves every SNR point and curve: each batch
+is drawn once and scored for every (curve, SNR) pair still running,
+and each pair stops on its own rule.  Draws depend on neither the pair nor the worker count, so
 sweeps share common random numbers across SNR points and curves, and
 results are bit-identical for any worker count.
 """
@@ -38,7 +39,13 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .channel import _complex_normal, ls_estimate, make_phase_shift_training
-from .codebook import _GAIN_BUDGET, Codebook, _best_codewords, gen_rvq
+from .codebook import (
+    _GAIN_BUDGET,
+    Codebook,
+    _best_codewords,
+    _codeword_features,
+    gen_rvq,
+)
 from .numerics import dominant_right_eigvec_batch
 from .beamforming import apply_power_constraint
 
@@ -417,55 +424,84 @@ def _draw_block(config: SimConfig, start: int, count: int):
 
 
 def _beam_directions(
-    config: SimConfig,
+    configs: list[SimConfig],
+    running: list[int],
     hr: np.ndarray,
     cb_seeds: np.ndarray,
-    fixed_cb: Codebook | None,
-) -> np.ndarray:
+    fixed_cbs: list[Codebook | None],
+) -> dict[int, np.ndarray]:
     """Unit transmit directions per trial and subcarrier from receiver CSI.
 
-    ``hr`` is (T, N, n_r, n_t).  Unquantized mode takes the dominant
-    right eigenvector of each subcarrier matrix; B-bit mode takes the
-    best codeword of the trial's codebook.
+    ``hr`` is (T, N, n_r, n_t); returns a (T, N, n_t) array for each
+    curve index in ``running``, and for every fresh-codebook curve when
+    one of them is running.  Unquantized
+    curves take the dominant right eigenvector of each subcarrier
+    matrix, fixed-codebook curves the best codeword of their codebook.
+    Fresh-codebook curves share one codebook per trial, drawn for the
+    largest B among the sweep's fresh curves, running or not, so the
+    search has one shape for the whole sweep; the curve with B bits
+    takes the best of its first 2**B codewords, which is the best of its
+    own codebook because ``gen_rvq`` nests codebooks by prefix.
     """
     t, n, n_r, n_t = hr.shape
-    if config.feedback_bits is None:
-        v, _ = dominant_right_eigvec_batch(hr.reshape(t * n, n_r, n_t))
-        return v.reshape(t, n, n_t)
-    # stack as many trials as fit the gain budget; one trial's codewords
-    # are then scored in one chunk, whatever the block size
-    k = 1 << config.feedback_bits
-    step = max(1, _GAIN_BUDGET // (n * k * n_r))
-    beams = np.empty((t, n, n_t), dtype=np.complex128)
-    for lo in range(0, t, step):
-        seeds = cb_seeds[lo : lo + step]
-        if fixed_cb is None:
-            w = np.stack([
-                gen_rvq(n_t, config.feedback_bits, int(seed)).vectors
-                for seed in seeds
-            ])
-        else:
-            w = np.broadcast_to(fixed_cb.vectors, (len(seeds), k, n_t))
-        sel, _ = _best_codewords(hr[lo : lo + step], w)
-        beams[lo : lo + step] = w[np.arange(len(seeds))[:, None], sel]
+    beams = {}
+    searches = []  # (curves, their shared fixed codebook or None)
+    for c in running:
+        if configs[c].feedback_bits is None:
+            v, _ = dominant_right_eigvec_batch(hr.reshape(t * n, n_r, n_t))
+            beams[c] = v.reshape(t, n, n_t)
+        elif not configs[c].fresh_codebook:
+            searches.append(([c], fixed_cbs[c]))
+    fresh = [
+        c for c, cfg in enumerate(configs)
+        if cfg.feedback_bits is not None and cfg.fresh_codebook
+    ]
+    if set(fresh) & set(running):
+        searches.append((fresh, None))
+    for group, cb in searches:
+        sizes = [1 << configs[c].feedback_bits for c in group]
+        bits = max(configs[c].feedback_bits for c in group)
+        # stack as many trials as fit the gain budget; one trial's
+        # codewords are then scored in one chunk, whatever the block size
+        step = max(1, _GAIN_BUDGET // (n << bits))
+        for c in group:
+            beams[c] = np.empty((t, n, n_t), dtype=np.complex128)
+        for lo in range(0, t, step):
+            seeds = cb_seeds[lo : lo + step]
+            if cb is None:
+                w = np.stack([
+                    gen_rvq(n_t, bits, int(seed)).vectors for seed in seeds
+                ])
+                words = _codeword_features(w)
+            else:
+                w, words = cb.vectors, cb.features
+            sel, _ = _best_codewords(hr[lo : lo + step], words, sizes)
+            w = np.broadcast_to(w, (len(seeds),) + w.shape[-2:])
+            rows = np.arange(len(seeds))[:, None]
+            for c, idx in zip(group, sel):
+                beams[c][lo : lo + step] = w[rows, idx]
     return beams
 
 
-def _receiver_link(
-    config: SimConfig,
+def _receiver_links(
+    configs: list[SimConfig],
+    running: list[int],
     snr_db: float,
     h: np.ndarray,
     pilot: np.ndarray | None,
     cb_seeds: np.ndarray,
-    fixed_cb: Codebook | None,
+    fixed_cbs: list[Codebook | None],
 ):
-    """The receiver's side of one curve at one SNR point.
+    """The receiver's side of the curves in ``running`` at one SNR point.
 
-    Returns ``(hr, beams, comb, ok)``: the receiver's channel knowledge
-    (the LS estimate under estimated CSI, else ``h``), the unit beam
-    directions selected from it, the unit MRC combiners, and the mask of
-    subcarriers whose effective channel ``hr_k b_k`` is nonzero.
+    Returns ``(hr, links)``: the receiver's channel knowledge (the LS
+    estimate under estimated CSI, else ``h``), shared by every curve,
+    and for each running curve ``c`` the triple ``links[c] = (beams,
+    comb, ok)``: the unit beam directions selected from ``hr``, the unit
+    MRC combiners, and the mask of subcarriers whose effective channel
+    ``hr_k b_k`` is nonzero.
     """
+    config = configs[0]
     if config.csi_mode == "estimated":
         training = make_phase_shift_training(config.n_t, config.n_pilots)
         if config.pilot_snr_db is None:
@@ -476,14 +512,17 @@ def _receiver_link(
         hr = ls_estimate(amp * (h @ training.symbols) + pilot, training) / amp
     else:
         hr = h
-    beams = _beam_directions(config, hr, cb_seeds, fixed_cb)
-    # receiver-side combiner from its channel knowledge
-    t_eff = np.einsum("tnij,tnj->tni", hr, beams)
-    t_norm = np.sqrt((np.abs(t_eff) ** 2).sum(axis=2))
-    ok = t_norm > 0.0
-    comb = t_eff / np.where(ok, t_norm, 1.0)[:, :, None]
-    comb[~ok] = 0.0
-    return hr, beams, comb, ok
+    beams = _beam_directions(configs, running, hr, cb_seeds, fixed_cbs)
+    links = {}
+    for c in running:
+        # receiver-side combiner from its channel knowledge
+        t_eff = np.einsum("tnij,tnj->tni", hr, beams[c])
+        t_norm = np.sqrt((np.abs(t_eff) ** 2).sum(axis=2))
+        ok = t_norm > 0.0
+        comb = t_eff / np.where(ok, t_norm, 1.0)[:, :, None]
+        comb[~ok] = 0.0
+        links[c] = beams[c], comb, ok
+    return hr, links
 
 
 def _run_block(
@@ -498,11 +537,12 @@ def _run_block(
     ``configs`` are the curves of one link (they differ only in
     ``feedback_bits``), ``active`` masks the running (curve, SNR) pairs
     and ``fixed_cbs`` holds each curve's shared codebook.  The block is
-    drawn once and beams are selected once per curve (per SNR point
-    when the pilot power follows the SNR).  Returns an int64 (curves,
-    SNR points, 3) array of bits sent, bit errors and null skips, zero
-    where inactive.  All per-trial math is elementwise over trials, so
-    any partition of a trial range into blocks gives identical totals.
+    drawn once, and the channel is estimated and beams are selected
+    once for all curves (per SNR point when the pilot power follows the
+    SNR).  Returns an int64 (curves, SNR points, 3) array of bits sent,
+    bit errors and null skips, zero where inactive.  All per-trial math
+    is elementwise over trials, so any partition of a trial range into
+    blocks gives identical totals.
     """
     config = configs[0]
     n = config.n_subcarriers
@@ -511,17 +551,20 @@ def _run_block(
     x = modulate(bits.reshape(-1), config.modulation).reshape(count, n)
     per_snr = config.csi_mode == "estimated" and config.pilot_snr_db is None
     out = np.zeros(active.shape + (3,), dtype=np.int64)
-    for c, cfg in enumerate(configs):
-        link = None
-        for s, snr_db in enumerate(config.snr_db_points):
-            if not active[c, s]:
-                continue
-            if link is None or per_snr:
-                link = _receiver_link(
-                    cfg, snr_db, h, pilot, cb_seeds, fixed_cbs[c]
-                )
-            _, beams, comb, ok = link
-            rho = 10.0 ** (snr_db / 10.0)
+    links = None
+    for s, snr_db in enumerate(config.snr_db_points):
+        if not active[:, s].any():
+            continue
+        if links is None or per_snr:
+            running = np.flatnonzero(
+                active[:, s] if per_snr else active.any(axis=1)
+            ).tolist()
+            _, links = _receiver_links(
+                configs, running, snr_db, h, pilot, cb_seeds, fixed_cbs
+            )
+        rho = 10.0 ** (snr_db / 10.0)
+        for c in np.flatnonzero(active[:, s]).tolist():
+            beams, comb, ok = links[c]
             # uniform split of the block power budget: every row gets
             # norm sqrt(rho), i.e. per-subcarrier power rho
             scaled = apply_power_constraint(
@@ -567,9 +610,10 @@ def trial_effective_gains(
     """
     config.validate()
     _, h, cb_seeds, pilot, _ = _draw_block(config, trial_index, 1)
-    hr, beams, comb, ok = _receiver_link(
-        config, snr_db, h, pilot, cb_seeds, _fixed_codebook(config)
+    hr, links = _receiver_links(
+        [config], [0], snr_db, h, pilot, cb_seeds, [_fixed_codebook(config)]
     )
+    beams, comb, ok = links[0]
     gains = np.einsum(
         "tni,tni->tn", comb.conj(), np.einsum("tnij,tnj->tni", h, beams)
     )
@@ -612,12 +656,15 @@ def run_sweeps(
     count) take whole batches, up to one each per round but no more than
     the bit cap of the running pairs can still use; results are reduced
     in batch order and a pair ignores batches past its stopping point,
-    so the result is identical for every worker count.
+    so the result is identical for every worker count.  Each curve may
+    appear once; a repeated curve raises :class:`ConfigError`.
     """
     configs = [replace(config, feedback_bits=bits) for bits in curves]
     for cfg in configs:
         cfg.validate()
     labels = ["perfect" if bits is None else f"rvq-b{bits}" for bits in curves]
+    if len(set(labels)) < len(labels):
+        raise ConfigError(f"duplicate curves in {labels}")
     n_workers = max(1, n_workers or os.cpu_count() or 1)
     fixed_cbs = [_fixed_codebook(cfg) for cfg in configs]
     snrs = config.snr_db_points

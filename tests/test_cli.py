@@ -174,6 +174,28 @@ def test_bad_feedback_bits_exits_1(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("bits", ["4,4", "perfect,perfect", "perfect,2,1,2"])
+def test_duplicate_curves_exit_1(tmp_path, capsys, bits):
+    out = tmp_path / "x"
+    code = main([
+        "--config", str(tiny_config(tmp_path)),
+        "--feedback-bits", bits,
+        "--out-dir", str(out),
+    ])
+    assert code == 1
+    assert "duplicate curves" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_duplicate_curves_rejected_from_every_source(tmp_path):
+    with pytest.raises(ConfigError):
+        parse_config(overrides={"curves": [None, 4, None]})
+    with pytest.raises(ConfigError):
+        parse_config(overrides={"curves": [4, {"feedback_bits": 4}]})
+    with pytest.raises(ConfigError):
+        parse_config(path=str(tiny_config(tmp_path, curves=[1, "1"])))
+
+
 def test_unwritable_out_dir_exits_2(tmp_path, capsys):
     blocker = tmp_path / "blocked"
     blocker.write_text("a file, not a directory")

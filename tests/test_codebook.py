@@ -14,10 +14,28 @@ from lfbeam.codebook import (
     load_codebook,
     quantize_direction,
     _best_codewords,
+    _codeword_features,
     save_codebook,
     select_beamformer,
 )
 from oracles import min_uniform_mean, min_uniform_var, top_sv_direction
+
+EPS = np.finfo(np.float64).eps
+
+
+def gain_tolerance(h):
+    """Rounding bound on ``||H w||^2`` for unit ``w``, in the direct or
+    the lifted form, per (…, n_r, dim) channel matrix: a few float64 ulps
+    per summed term, relative to ``||H||_F^2``, which bounds every term."""
+    n_r, dim = h.shape[-2:]
+    return 8 * (dim * dim + n_r) * EPS * (np.abs(h) ** 2).sum(axis=(-2, -1))
+
+
+def direct_gains(h, vectors):
+    """``||H w||^2`` for every codeword in the direct complex form:
+    (t, n, n_r, dim) channels, (k, dim) or (t, k, dim) codewords."""
+    w = np.broadcast_to(vectors, (h.shape[0],) + vectors.shape[-2:])
+    return (np.abs(np.einsum("tnij,tkj->tnik", h, w)) ** 2).sum(axis=2)
 
 
 # ------------------------------------------------------------------ gen_rvq
@@ -207,11 +225,13 @@ def test_selection_metric_bounded_by_top_eigenvalue(rng):
 
 
 def test_selection_beats_every_other_codeword(rng):
+    """The lifted search scores in another order than the direct form,
+    so the metric agrees to rounding; the winner is the same."""
     cb = gen_rvq(2, 4, seed=2)
     h = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
     res = select_beamformer(h, cb, rho=2.0)
     gains = (np.abs(h @ cb.vectors.T) ** 2).sum(axis=0)
-    assert res.metric == gains.max()
+    assert abs(res.metric - gains.max()) <= gain_tolerance(h)
     assert res.index == int(np.argmax(gains))
 
 
@@ -242,13 +262,12 @@ def test_kernel_chunked_scan_matches_single_pass(rng, monkeypatch):
     shared = gen_rvq(2, 6, seed=1).vectors
     per_trial = np.stack([gen_rvq(2, 6, seed=s).vectors for s in range(3)])
     for vectors in (shared, per_trial):
-        w = np.broadcast_to(vectors, (3, 64, 2))
-        direct = (np.abs(np.einsum("tnij,tkj->tnik", h, w)) ** 2).sum(axis=2)
-        idx, gain = _best_codewords(h, vectors)
-        assert np.array_equal(idx, np.argmax(direct, axis=2))
+        words = _codeword_features(vectors)
+        idx, gain = _best_codewords(h, words)
+        assert np.array_equal(idx, np.argmax(direct_gains(h, vectors), axis=2))
         # 7 codewords per chunk: ten chunks, the last one ragged
-        monkeypatch.setattr(lfbeam.codebook, "_GAIN_BUDGET", 7 * 3 * 5 * 2)
-        idx_c, gain_c = _best_codewords(h, vectors)
+        monkeypatch.setattr(lfbeam.codebook, "_GAIN_BUDGET", 7 * 3 * 5)
+        idx_c, gain_c = _best_codewords(h, words)
         monkeypatch.undo()
         assert np.array_equal(idx_c, idx)
         # BLAS may round a narrower column block differently in the
@@ -263,8 +282,85 @@ def test_kernel_tie_across_chunk_boundary_breaks_low(monkeypatch):
     vectors = np.stack([e2, e2, e1, e1, e1, e2])
     h = np.array([[[[1.0, 0.0]]]], dtype=complex)
     monkeypatch.setattr(lfbeam.codebook, "_GAIN_BUDGET", 3)
-    idx, gain = _best_codewords(h, vectors)
+    idx, gain = _best_codewords(h, _codeword_features(vectors))
     assert idx[0, 0] == 2 and gain[0, 0] == 1.0
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+def test_lifted_kernel_matches_direct_form(dim):
+    """For every antenna geometry and both codebook layouts, the lifted
+    winner is a direct-form maximizer and its gain is the direct-form
+    maximum, both to rounding; where the direct-form runner-up trails by
+    more than rounding, the indices are equal.  An all-zero channel
+    scores every codeword 0 and picks index 0."""
+    rng = np.random.default_rng(40 + dim)
+    t, n = 3, 7
+    shared = gen_rvq(dim, 5, seed=dim).vectors
+    per_trial = np.stack([gen_rvq(dim, 5, seed=10 * dim + s).vectors
+                          for s in range(t)])
+    for n_r in (1, 2, 3):
+        h = (rng.standard_normal((t, n, n_r, dim))
+             + 1j * rng.standard_normal((t, n, n_r, dim)))
+        h[0, 0] = 0.0
+        tol = gain_tolerance(h)
+        for vectors in (shared, per_trial):
+            idx, gain = _best_codewords(h, _codeword_features(vectors))
+            direct = direct_gains(h, vectors)
+            best = direct.max(axis=2)
+            assert idx[0, 0] == 0 and gain[0, 0] == 0.0
+            assert (np.abs(gain - best) <= tol).all()
+            picked = np.take_along_axis(direct, idx[..., None], 2)[..., 0]
+            assert (picked >= best - 2 * tol).all()
+            runner_up = np.sort(direct, axis=2)[..., -2]
+            clear = best - runner_up > 4 * tol
+            assert np.array_equal(idx[clear], direct.argmax(axis=2)[clear])
+            if dim > 1:
+                assert clear.sum() >= t * n - 1  # all but the zero channel
+
+
+def test_prefix_search_equals_separate_searches(rng, monkeypatch):
+    """Each requested prefix size gets the best of its first ``s``
+    codewords, as a search of that prefix alone finds it: for every
+    size from 1 to k, in one pass and with chunk boundaries (every 5
+    codewords) inside prefixes."""
+    t, n, k = 3, 4, 64
+    h = rng.standard_normal((t, n, 2, 2)) + 1j * rng.standard_normal((t, n, 2, 2))
+    tol = gain_tolerance(h)
+    sizes = list(range(k, 0, -1))  # any order
+    for vectors in (gen_rvq(2, 6, seed=3).vectors,
+                    np.stack([gen_rvq(2, 6, seed=s).vectors for s in range(t)])):
+        words = _codeword_features(vectors)
+        alone = [_best_codewords(h, words[..., :s]) for s in sizes]
+        for budget in (None, 5 * t * n):
+            if budget is not None:
+                monkeypatch.setattr(lfbeam.codebook, "_GAIN_BUDGET", budget)
+            idx, gain = _best_codewords(h, words, sizes)
+            monkeypatch.undo()
+            assert idx.shape == gain.shape == (k, t, n)
+            for i, (idx_s, gain_s) in enumerate(alone):
+                assert np.array_equal(idx[i], idx_s)
+                # BLAS takes a one-codeword prefix as a matrix-vector
+                # product, which may round differently in the last bit
+                assert (np.abs(gain[i] - gain_s) <= tol).all()
+
+
+def test_prefix_tie_across_chunk_boundary_breaks_low(monkeypatch):
+    """Chunks of three: e1 first wins at index 2, and its copies at 3
+    and 4, past the boundary, do not displace it in any prefix; where
+    the first chunk holds no e1, the second chunk's first e1 wins."""
+    e1, e2 = np.eye(2, dtype=complex)
+    h = np.array([[[[1.0, 0.0]]]], dtype=complex)
+    monkeypatch.setattr(lfbeam.codebook, "_GAIN_BUDGET", 3)
+    for vectors, want in (
+        ([e2, e2, e1, e1, e1, e2], [0, 0, 2, 2, 2, 2]),
+        ([e2, e2, e2, e1, e1, e1], [0, 0, 0, 3, 3, 3]),
+    ):
+        words = _codeword_features(np.stack(vectors))
+        idx, gain = _best_codewords(h, words, [1, 2, 3, 4, 5, 6])
+        assert idx[:, 0, 0].tolist() == want
+        assert gain[:, 0, 0].tolist() == [
+            float(any(v is e1 for v in vectors[:s])) for s in range(1, 7)
+        ]
 
 
 # ------------------------------------------------------------- file format

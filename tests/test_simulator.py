@@ -131,8 +131,8 @@ def test_blocks_partition_invariant(monkeypatch):
     scores = []
     best = lfbeam.simulator._best_codewords
 
-    def spy(h, vectors):
-        idx, gain = best(h, vectors)
+    def spy(*args):
+        idx, gain = best(*args)
         scores.append(gain)
         return idx, gain
 
@@ -152,7 +152,7 @@ def test_blocks_partition_invariant(monkeypatch):
                 _run_block(configs, active, start, count, cbs)
                 for start, count in blocks
             )
-            runs.append((total, np.concatenate(scores)))
+            runs.append((total, np.concatenate(scores, axis=-2)))
         assert np.array_equal(runs[0][0], runs[1][0])
         assert np.array_equal(runs[0][1], runs[1][1])
 
@@ -319,6 +319,42 @@ def test_sweep_worker_count_does_not_change_results():
     for workers in (1, 3):
         joint = run_sweeps(cfg, curves, n_workers=workers)
         assert [c.to_csv_text() for c in joint] == alone
+
+
+def test_fresh_curves_share_one_codebook_per_trial(monkeypatch):
+    """Curves 0, 1 and 8 of one sweep search one 256-word codebook per
+    trial, each in its own prefix, and each still equals its curve swept
+    alone."""
+    cfg = SimConfig(**FAST)
+    curves = [0, 1, 8]
+    alone = [
+        run_sweep(replace(cfg, feedback_bits=bits)).to_csv_text()
+        for bits in curves
+    ]
+    drawn, sizes = [], []
+    gen = lfbeam.simulator.gen_rvq
+    run_block = lfbeam.simulator._run_block
+
+    def gen_spy(dim, bits, seed):
+        sizes.append(bits)
+        return gen(dim, bits, seed)
+
+    def block_spy(*args):
+        drawn.append(args[3])
+        return run_block(*args)
+
+    monkeypatch.setattr(lfbeam.simulator, "gen_rvq", gen_spy)
+    monkeypatch.setattr(lfbeam.simulator, "_run_block", block_spy)
+    joint = run_sweeps(cfg, curves)
+    assert [c.to_csv_text() for c in joint] == alone
+    assert set(sizes) == {8} and len(sizes) == sum(drawn)
+
+
+def test_duplicate_curves_rejected():
+    with pytest.raises(ConfigError):
+        run_sweeps(SimConfig(**FAST), [2, None, 2])
+    with pytest.raises(ConfigError):
+        run_sweeps(SimConfig(**FAST), [None, None])
 
 
 @pytest.fixture
