@@ -32,9 +32,9 @@ MAX_BITS = 20
 
 _HEADER = struct.Struct("<III")  # dim, bits, seed
 
-# Element budget for one chunk of the (trials, subcarriers, codewords)
-# gain tensor: 2**20 float64 values, 8 MB.  The simulator stacks whole
-# trials up to it, so a trial that fits is scored in one chunk, the
+# Element budget for one tile of the (trials, subcarriers, codewords)
+# gain tensor: 2**20 float64 values, 8 MB.  The search stacks whole
+# trials up to it, so a trial's chunk is scored in one product, the
 # same in a block of any size.  At 4 MB, glibc's malloc handed the heap
 # back to the system after every block and faulted it in again (about
 # 1,500 page faults per 256-trial estimated-CSI block, a quarter of its
@@ -66,12 +66,6 @@ class Codebook:
     def __len__(self) -> int:
         return self.vectors.shape[0]
 
-    @functools.cached_property
-    def features(self) -> np.ndarray:
-        """The codewords' lifted features for the codeword search,
-        computed on first use and kept."""
-        return _codeword_features(self.vectors)
-
 
 @dataclass(frozen=True)
 class QuantizationResult:
@@ -91,9 +85,10 @@ def gen_rvq(dim: int, bits: int, seed: int) -> Codebook:
     a fixed seed the first 2**b vectors of a larger codebook equal the
     full codebook generated with ``bits=b``: codebooks of growing size
     are nested, and quantization quality is monotone in ``bits`` on any
-    fixed channel.  The simulator relies on this: its fresh-codebook
-    curves share one codebook per trial, and the curve with ``b`` bits
-    searches its first 2**b codewords.
+    fixed channel.  The simulator's fresh codebooks nest the same way,
+    though they do not come from this function: it draws them
+    codeword-major from each batch's stream, and the curve with ``b``
+    bits searches the first 2**b codewords.
     """
     if dim < 1:
         raise ValueError(f"dim must be >= 1, got {dim}")
@@ -131,7 +126,7 @@ def quantize_direction(h: np.ndarray, codebook: Codebook) -> QuantizationResult:
     if power == 0.0:
         raise ZeroChannelError("cannot quantize an all-zero channel")
     # |h^H w|^2 is ||H w||^2 for the one-row channel H = h^H
-    index, gain = _best_codewords(h.conj()[None, None, None], codebook.features)
+    index, gain, _ = _best_codewords(h.conj()[None, None, None], codebook.vectors)
     metric = float(gain[0, 0])
     distortion = min(max(1.0 - metric / power, 0.0), 1.0)
     return QuantizationResult(int(index[0, 0]), distortion, metric)
@@ -158,7 +153,7 @@ def select_beamformer(
         raise ValueError(
             f"channel has {h.shape[1]} columns, codebook has dim {codebook.dim}"
         )
-    index, gain = _best_codewords(h[None, None], codebook.features)
+    index, gain, _ = _best_codewords(h[None, None], codebook.vectors)
     metric = float(gain[0, 0])
     _, lam = dominant_right_eigvec_batch(h[None])
     top = float(lam[0])
@@ -184,7 +179,7 @@ def _lift(x: np.ndarray) -> np.ndarray:
 
     For a row ``a`` and a vector ``w``, ``|a w|^2`` is the dot product of
     ``_lift(conj(a))`` with ``_lift(w)`` whose off-diagonal entries are
-    doubled (see :func:`_codeword_features`).
+    doubled (see :func:`_best_codewords`).
     """
     i, j, _ = _layout(x.shape[-1])
     xc = x.conj()
@@ -192,57 +187,79 @@ def _lift(x: np.ndarray) -> np.ndarray:
     return np.concatenate([(xc * x).real, cross.view(np.float64)], axis=-1)
 
 
-def _codeword_features(vectors: np.ndarray) -> np.ndarray:
-    """The search's features of codewords (..., k, dim): ``_lift`` with
-    the off-diagonal entries doubled, as columns, (..., dim*dim, k)."""
-    words = _lift(vectors) * _layout(vectors.shape[-1])[2]
-    return words.swapaxes(-1, -2)
-
-
 def _best_codewords(
-    h: np.ndarray, words: np.ndarray, sizes: list[int] | None = None
-) -> tuple[np.ndarray, np.ndarray]:
+    h: np.ndarray, words, sizes: list[int] | None = None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Best codeword per channel matrix: argmax over w of ``||H w||^2``.
 
     ``h`` is a (t, n, n_r, dim) stack of channel matrices.  ``words``
-    holds the :func:`_codeword_features` of one codebook (k, dim) shared
-    by the whole stack, or of one codebook per group (t, k, dim), so
-    codeword ``j`` is column ``j``.  Returns ``(index, gain)``, both
-    (t, n); with ``sizes``, a list of prefix sizes, both
-    (len(sizes), t, n), the best of the first ``s`` codewords for each
-    ``s``.
+    holds unit codewords, (k, dim) shared by the stack or (t, k, dim)
+    per group, or is a chunk source: an iterator of Gaussian draws
+    ``g`` (t, w, dim), the next ``w`` codewords ``g / ||g||`` of each
+    group, whose total ``max(sizes)`` gives.  Returns ``(index, gain,
+    beam)``, (t, n) each and (t, n, dim) for the winning codeword; with
+    ``sizes``, a list of prefix sizes, with a leading axis: the best of
+    the first ``s`` codewords for each ``s``.
 
-    Gains are one real GEMM in lifted form: the channel's features
-    ``sum_r _lift(conj(H_r))`` times the codewords', so the cost does not
-    grow with n_r.  Codewords are scanned once, in chunks that keep the
-    gain tensor within ``_GAIN_BUDGET`` elements; within and across
-    chunks the first maximizer wins, so ties break to the lowest index.
+    Gains are one real GEMM in lifted form, the channel's features
+    ``sum_r _lift(conj(H_r))`` times the codewords' ``_lift(w)`` (a
+    draw's own over ``||g||^2``), so the cost does not grow with n_r.
+    Codewords are scanned once, chunk by chunk, each chunk in stacks of
+    whole groups within ``_GAIN_BUDGET`` gains, and dropped once scored,
+    so the winners' vectors are kept with their index and gain.  The
+    first maximizer wins, so ties break to the lowest index.
     """
-    t, n, n_r, _ = h.shape
+    t, n, n_r, dim = h.shape
     feats = _lift(h.conj())
     feats = feats.sum(axis=2) if n_r > 1 else feats[:, :, 0]
-    ends = [words.shape[-1]] if sizes is None else sorted(set(sizes))
-    step = max(1, _GAIN_BUDGET // (t * n))
-    cells = np.arange(t * n)
-    found = {}
-    for lo in range(0, ends[-1], step):
-        hi = min(lo + step, ends[-1])
-        gains = (feats @ words[..., lo:hi]).reshape(t * n, hi - lo)
-        # the best of each requested prefix ending in this chunk, then of
-        # the whole chunk, each merged with the best of earlier chunks
-        for end in [e for e in ends if lo < e < hi] + [hi]:
-            idx = gains[:, : end - lo].argmax(axis=1)
-            gain = gains[cells, idx]
-            if lo:
-                better = gain > best_gain  # strict: earlier chunks keep ties
-                idx = np.where(better, idx + lo, best_idx)
-                gain = np.where(better, gain, best_gain)
-            found[end] = idx, gain
-        best_idx, best_gain = found[hi]
+    # the off-diagonal doubling goes on the channel side: scaling by 2
+    # is exact, and the codewords outnumber the channels
+    feats *= _layout(dim)[2]
+    ends = [words.shape[-2]] if sizes is None else sorted(set(sizes))
+    drawn = not isinstance(words, np.ndarray)
+    if not drawn:
+        step = max(1, min(ends[-1], _GAIN_BUDGET // n))
+        words = [words[..., lo : lo + step, :] for lo in range(0, ends[-1], step)]
+    found, best, lo = {}, None, 0
+    for chunk in words:
+        hi = lo + chunk.shape[-2]
+        # the best of each requested prefix ending in this chunk, then
+        # of the whole chunk
+        stops = [e for e in ends if lo < e < hi] + [hi]
+        idx = np.empty((len(stops), t * n), np.intp)
+        gain = np.empty(idx.shape)
+        norm2 = np.empty(chunk.shape[:-1]) if drawn else None
+        # whole groups stacked up to the gain budget: a group's gains are
+        # the same product in any stack, whatever the block size
+        stack = max(1, _GAIN_BUDGET // (n * (hi - lo)))
+        for a in range(0, t, stack):
+            rows = slice(a * n, min(a + stack, t) * n)
+            cols = _lift(chunk if chunk.ndim == 2 else chunk[a : a + stack])
+            if drawn:  # ||g||^2 is the sum of g's first dim features
+                norm2[a : a + stack] = cols[..., :dim] @ np.ones(dim)
+                cols /= norm2[a : a + stack, :, None]
+            tile = (feats[a : a + stack] @ cols.swapaxes(-1, -2)).reshape(-1, hi - lo)
+            for s, end in enumerate(stops):
+                idx[s, rows] = tile[:, : end - lo].argmax(axis=1)
+            gain[:, rows] = tile[np.arange(len(tile)), idx[:, rows]]
+            del tile  # one tile at a time, gone before the gathers below
+        at = idx if chunk.ndim == 2 else np.repeat(np.arange(t) * (hi - lo), n) + idx
+        vec = chunk.reshape(-1, dim).take(at, axis=0)
+        if drawn:  # the winning draws as unit codewords
+            vec /= np.sqrt(norm2.reshape(-1).take(at))[..., None]
+        if best is not None:  # merged with the best of earlier chunks
+            idx += lo
+            better = gain > best[1]  # strict: earlier chunks keep ties
+            idx = np.where(better, idx, best[0])
+            gain = np.where(better, gain, best[1])
+            vec = np.where(better[..., None], vec, best[2])
+        best, lo = (idx[-1], gain[-1], vec[-1]), hi
+        found.update((e, (idx[s], gain[s], vec[s]))
+                     for s, e in enumerate(stops) if e in ends)
     if sizes is None:
-        return best_idx.reshape(t, n), best_gain.reshape(t, n)
-    index, gain = zip(*(found[s] for s in sizes))
-    return np.stack(index).reshape(-1, t, n), np.stack(gain).reshape(-1, t, n)
+        return tuple(x.reshape((t, n) + x.shape[1:]) for x in best)
+    return tuple(np.stack(x).reshape((-1, t, n) + x[0].shape[1:])
+                 for x in zip(*(found[e] for e in sizes)))
 
 
 def save_codebook(codebook: Codebook, path) -> None:

@@ -13,18 +13,19 @@ SNR on subcarrier k is ``rho * ||H_k b_k||^2`` for a unit direction
 ``b_k``.
 
 Reproducibility: trials come in fixed batches of 256, and batch ``b``
-(trials ``256*b`` to ``256*b + 255``) draws everything from one stream,
+(trials ``256*b`` to ``256*b + 255``) draws from one stream,
 ``SeedSequence([master_seed, b])``, one call per array in a fixed order:
-data bits, taps, pilot noise when CSI is estimated, data noise,
-codebook seeds, 256 rows each.  A trial's draws are its row of each
-array.  The codebook seeds come last, so a trial's channel and noise
-are the same on every curve of one link; fresh-codebook curves also
-share the trial's codebook, each searching its own prefix of it.  One
+data bits, taps, pilot noise when CSI is estimated and data noise, 256
+rows each.  A trial's draws are its row of each array, the same on
+every curve of one link.  Fresh codebooks come from a second stream of
+the batch, ``SeedSequence([master_seed, b, 1])``, codeword-major: the
+2**B codewords of all 256 trials, codeword 0 first.  Fresh-codebook
+curves share each trial's codebook, each searching its own prefix.  One
 loop over whole batches serves every SNR point and curve: each batch
 is drawn once and scored for every (curve, SNR) pair still running,
-and each pair stops on its own rule.  Draws depend on neither the pair nor the worker count, so
-sweeps share common random numbers across SNR points and curves, and
-results are bit-identical for any worker count.
+and each pair stops on its own rule.  Draws depend on neither the pair
+nor the worker count, so sweeps share common random numbers across SNR
+points and curves, and results are bit-identical for any worker count.
 """
 
 from __future__ import annotations
@@ -39,13 +40,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .channel import _complex_normal, ls_estimate, make_phase_shift_training
-from .codebook import (
-    _GAIN_BUDGET,
-    Codebook,
-    _best_codewords,
-    _codeword_features,
-    gen_rvq,
-)
+from .codebook import _GAIN_BUDGET, Codebook, _best_codewords, gen_rvq
 from .numerics import dominant_right_eigvec_batch
 from .beamforming import apply_power_constraint
 
@@ -368,21 +363,16 @@ def _fixed_codebook(config: SimConfig) -> Codebook | None:
     """The shared codebook used when ``fresh_codebook`` is off."""
     if config.feedback_bits is None or config.fresh_codebook:
         return None
-    seed = int(
-        np.random.SeedSequence(
-            [config.master_seed, _CODEBOOK_STREAM]
-        ).generate_state(1, dtype=np.uint32)[0]
-    )
+    seq = np.random.SeedSequence([config.master_seed, _CODEBOOK_STREAM])
+    seed = int(seq.generate_state(1, dtype=np.uint32)[0])
     return gen_rvq(config.n_t, config.feedback_bits, seed)
 
 
 def _draw_batch(config: SimConfig, batch: int):
-    """Bits, taps, pilot noise (None under perfect CSI), data noise and
-    codebook seeds of all trials of batch ``batch``, drawn from its one
-    stream in that order, one call per array."""
-    rng = np.random.default_rng(
-        np.random.SeedSequence([int(config.master_seed), batch])
-    )
+    """Bits, taps, pilot noise (None under perfect CSI) and data noise
+    of all trials of batch ``batch``, drawn from its one stream in that
+    order, one call per array."""
+    rng = np.random.default_rng([int(config.master_seed), batch])
     t, n = TRIALS_PER_BATCH, config.n_subcarriers
     bits = rng.integers(
         0, 2, size=(t, n * config.bits_per_symbol), dtype=np.uint8
@@ -397,14 +387,13 @@ def _draw_batch(config: SimConfig, batch: int):
         else None
     )
     noise = _complex_normal(rng, (t, n, config.n_r), np.sqrt(0.5))
-    cb_seeds = rng.integers(0, 2**32, size=t)
-    return bits, taps, pilot, noise, cb_seeds
+    return bits, taps, pilot, noise
 
 
 def _draw_block(config: SimConfig, start: int, count: int):
-    """Random draws of trials [start, start+count): ``(bits, h, cb_seeds,
-    pilot, noise)`` with the taps already transformed to the (T, N, n_r,
-    n_t) subcarrier channel ``h``.
+    """Random draws of trials [start, start+count): ``(bits, h, pilot,
+    noise)`` with the taps already transformed to the (T, N, n_r, n_t)
+    subcarrier channel ``h``.
 
     Every batch the range touches is drawn whole (see the module
     docstring) and the range's rows are cut out, so a trial's draws
@@ -415,71 +404,81 @@ def _draw_block(config: SimConfig, start: int, count: int):
     stop = -(-(start + count) // TRIALS_PER_BATCH)
     batches = [_draw_batch(config, b) for b in range(first, stop)]
     lo = start - first * TRIALS_PER_BATCH
-    bits, taps, pilot, noise, cb_seeds = (
+    bits, taps, pilot, noise = (
         None if parts[0] is None else np.concatenate(parts)[lo : lo + count]
         for parts in zip(*batches)
     )
     h = np.fft.fft(taps, n=config.n_subcarriers, axis=1)
-    return bits, h, cb_seeds, pilot, noise
+    return bits, h, pilot, noise
+
+
+def _fresh_draws(config: SimConfig, start: int, count: int, bits: int):
+    """The Gaussian draws behind the fresh codebooks of trials
+    [start, start+count), a chunk source for :func:`_best_codewords`.
+
+    Batch ``b`` draws the 2**bits codewords of its 256 trials from a
+    stream of its own, ``SeedSequence([master_seed, b, 1])``,
+    codeword-major (codeword 0 of every trial first), each as n_t
+    (re, im) pairs, ``w`` codewords at a time, yielded (count, w, n_t).
+    ``standard_normal`` gives the same numbers however a draw is split
+    into calls, so codeword ``j`` of a trial depends on neither ``bits``
+    nor ``w``, and ``w`` bounds the memory up to 20 bits.
+    """
+    t, seed = TRIALS_PER_BATCH, int(config.master_seed)
+    batches = range(start // t, -(-(start + count) // t))
+    rngs = [np.random.default_rng([seed, b, 1]) for b in batches]
+    size = 1 << bits
+    # a chunk's gains for one trial fit the gain budget, and its draws
+    # for a whole batch take a quarter of it
+    step = max(1, min(size, _GAIN_BUDGET // config.n_subcarriers,
+                      _GAIN_BUDGET // (8 * t * config.n_t)))
+    for k in range(0, size, step):
+        shape = (min(step, size - k), t, config.n_t, 2)
+        out = np.empty((count,) + shape[:1] + shape[2:])
+        for b, rng in zip(batches, rngs):
+            lo, hi = max(start, b * t), min(start + count, b * t + t)
+            out[lo - start : hi - start] = rng.standard_normal(shape)[
+                :, lo - b * t : hi - b * t
+            ].swapaxes(0, 1)
+        yield out.view(np.complex128)[..., 0]
 
 
 def _beam_directions(
     configs: list[SimConfig],
     running: list[int],
     hr: np.ndarray,
-    cb_seeds: np.ndarray,
+    start: int,
     fixed_cbs: list[Codebook | None],
 ) -> dict[int, np.ndarray]:
     """Unit transmit directions per trial and subcarrier from receiver CSI.
 
-    ``hr`` is (T, N, n_r, n_t); returns a (T, N, n_t) array for each
-    curve index in ``running``, and for every fresh-codebook curve when
-    one of them is running.  Unquantized
-    curves take the dominant right eigenvector of each subcarrier
-    matrix, fixed-codebook curves the best codeword of their codebook.
-    Fresh-codebook curves share one codebook per trial, drawn for the
-    largest B among the sweep's fresh curves, running or not, so the
-    search has one shape for the whole sweep; the curve with B bits
-    takes the best of its first 2**B codewords, which is the best of its
-    own codebook because ``gen_rvq`` nests codebooks by prefix.
+    ``hr`` is (T, N, n_r, n_t), the receiver's view of trials
+    [start, start+T); returns a (T, N, n_t) array for each curve in
+    ``running``, and for every fresh-codebook curve when one of them is
+    running.  Unquantized curves take the dominant right eigenvector,
+    fixed-codebook curves their codebook's best codeword.  Fresh-codebook
+    curves share one codebook per trial (:func:`_fresh_draws`) for the
+    largest B of the sweep's fresh curves, running or not, so the search
+    has one shape all sweep; the B-bit curve takes the best of the first
+    2**B codewords.
     """
     t, n, n_r, n_t = hr.shape
     beams = {}
-    searches = []  # (curves, their shared fixed codebook or None)
     for c in running:
         if configs[c].feedback_bits is None:
             v, _ = dominant_right_eigvec_batch(hr.reshape(t * n, n_r, n_t))
             beams[c] = v.reshape(t, n, n_t)
         elif not configs[c].fresh_codebook:
-            searches.append(([c], fixed_cbs[c]))
+            _, _, beams[c] = _best_codewords(hr, fixed_cbs[c].vectors)
     fresh = [
         c for c, cfg in enumerate(configs)
         if cfg.feedback_bits is not None and cfg.fresh_codebook
     ]
     if set(fresh) & set(running):
-        searches.append((fresh, None))
-    for group, cb in searches:
-        sizes = [1 << configs[c].feedback_bits for c in group]
-        bits = max(configs[c].feedback_bits for c in group)
-        # stack as many trials as fit the gain budget; one trial's
-        # codewords are then scored in one chunk, whatever the block size
-        step = max(1, _GAIN_BUDGET // (n << bits))
-        for c in group:
-            beams[c] = np.empty((t, n, n_t), dtype=np.complex128)
-        for lo in range(0, t, step):
-            seeds = cb_seeds[lo : lo + step]
-            if cb is None:
-                w = np.stack([
-                    gen_rvq(n_t, bits, int(seed)).vectors for seed in seeds
-                ])
-                words = _codeword_features(w)
-            else:
-                w, words = cb.vectors, cb.features
-            sel, _ = _best_codewords(hr[lo : lo + step], words, sizes)
-            w = np.broadcast_to(w, (len(seeds),) + w.shape[-2:])
-            rows = np.arange(len(seeds))[:, None]
-            for c, idx in zip(group, sel):
-                beams[c][lo : lo + step] = w[rows, idx]
+        bits = [configs[c].feedback_bits for c in fresh]
+        draws = _fresh_draws(configs[0], start, t, max(bits))
+        _, _, found = _best_codewords(hr, draws, [1 << b for b in bits])
+        beams.update(zip(fresh, found))
     return beams
 
 
@@ -489,7 +488,7 @@ def _receiver_links(
     snr_db: float,
     h: np.ndarray,
     pilot: np.ndarray | None,
-    cb_seeds: np.ndarray,
+    start: int,
     fixed_cbs: list[Codebook | None],
 ):
     """The receiver's side of the curves in ``running`` at one SNR point.
@@ -512,7 +511,7 @@ def _receiver_links(
         hr = ls_estimate(amp * (h @ training.symbols) + pilot, training) / amp
     else:
         hr = h
-    beams = _beam_directions(configs, running, hr, cb_seeds, fixed_cbs)
+    beams = _beam_directions(configs, running, hr, start, fixed_cbs)
     links = {}
     for c in running:
         # receiver-side combiner from its channel knowledge
@@ -547,7 +546,7 @@ def _run_block(
     config = configs[0]
     n = config.n_subcarriers
     bps = config.bits_per_symbol
-    bits, h, cb_seeds, pilot, noise = _draw_block(config, start, count)
+    bits, h, pilot, noise = _draw_block(config, start, count)
     x = modulate(bits.reshape(-1), config.modulation).reshape(count, n)
     per_snr = config.csi_mode == "estimated" and config.pilot_snr_db is None
     out = np.zeros(active.shape + (3,), dtype=np.int64)
@@ -560,7 +559,7 @@ def _run_block(
                 active[:, s] if per_snr else active.any(axis=1)
             ).tolist()
             _, links = _receiver_links(
-                configs, running, snr_db, h, pilot, cb_seeds, fixed_cbs
+                configs, running, snr_db, h, pilot, start, fixed_cbs
             )
         rho = 10.0 ** (snr_db / 10.0)
         for c in np.flatnonzero(active[:, s]).tolist():
@@ -586,8 +585,10 @@ def run_trial(config: SimConfig, snr_db: float, trial_index: int) -> TrialResult
 
     ``bits_sent`` excludes subcarriers skipped because the receiver's
     effective channel ``H_k b_k`` was exactly zero; ``null_skips``
-    counts them.  The trial's draws come from its batch's stream, so
-    one call draws the whole 256-trial batch and uses one row of it.
+    counts them.  The trial's draws come from its batch's streams, so
+    one call draws the whole 256-trial batch and uses one row of it;
+    with a fresh codebook that includes the codebooks of all 256
+    trials, so its cost grows with 256 * 2**B.
     """
     config.validate()
     res = _run_block(
@@ -606,12 +607,13 @@ def trial_effective_gains(
     ``a^H H b`` (``gains``), the skip mask (``ok``), the true and
     receiver-side channels, and the unit beam directions.  The
     post-combining SNR on subcarrier k is ``rho * |gains[k]|^2``.  Like
-    :func:`run_trial`, one call draws the trial's whole batch.
+    :func:`run_trial`, one call draws the trial's whole batch, fresh
+    codebooks included, so its cost grows with 256 * 2**B.
     """
     config.validate()
-    _, h, cb_seeds, pilot, _ = _draw_block(config, trial_index, 1)
+    _, h, pilot, _ = _draw_block(config, trial_index, 1)
     hr, links = _receiver_links(
-        [config], [0], snr_db, h, pilot, cb_seeds, [_fixed_codebook(config)]
+        [config], [0], snr_db, h, pilot, trial_index, [_fixed_codebook(config)]
     )
     beams, comb, ok = links[0]
     gains = np.einsum(

@@ -14,7 +14,6 @@ from lfbeam.codebook import (
     load_codebook,
     quantize_direction,
     _best_codewords,
-    _codeword_features,
     save_codebook,
     select_beamformer,
 )
@@ -262,12 +261,12 @@ def test_kernel_chunked_scan_matches_single_pass(rng, monkeypatch):
     shared = gen_rvq(2, 6, seed=1).vectors
     per_trial = np.stack([gen_rvq(2, 6, seed=s).vectors for s in range(3)])
     for vectors in (shared, per_trial):
-        words = _codeword_features(vectors)
-        idx, gain = _best_codewords(h, words)
+        idx, gain, _ = _best_codewords(h, vectors)
         assert np.array_equal(idx, np.argmax(direct_gains(h, vectors), axis=2))
-        # 7 codewords per chunk: ten chunks, the last one ragged
-        monkeypatch.setattr(lfbeam.codebook, "_GAIN_BUDGET", 7 * 3 * 5)
-        idx_c, gain_c = _best_codewords(h, words)
+        # 7 codewords of 5 subcarriers per chunk: ten chunks, the last
+        # one ragged, each scored one trial at a time
+        monkeypatch.setattr(lfbeam.codebook, "_GAIN_BUDGET", 7 * 5)
+        idx_c, gain_c, _ = _best_codewords(h, vectors)
         monkeypatch.undo()
         assert np.array_equal(idx_c, idx)
         # BLAS may round a narrower column block differently in the
@@ -282,7 +281,7 @@ def test_kernel_tie_across_chunk_boundary_breaks_low(monkeypatch):
     vectors = np.stack([e2, e2, e1, e1, e1, e2])
     h = np.array([[[[1.0, 0.0]]]], dtype=complex)
     monkeypatch.setattr(lfbeam.codebook, "_GAIN_BUDGET", 3)
-    idx, gain = _best_codewords(h, _codeword_features(vectors))
+    idx, gain, _ = _best_codewords(h, vectors)
     assert idx[0, 0] == 2 and gain[0, 0] == 1.0
 
 
@@ -304,7 +303,7 @@ def test_lifted_kernel_matches_direct_form(dim):
         h[0, 0] = 0.0
         tol = gain_tolerance(h)
         for vectors in (shared, per_trial):
-            idx, gain = _best_codewords(h, _codeword_features(vectors))
+            idx, gain, _ = _best_codewords(h, vectors)
             direct = direct_gains(h, vectors)
             best = direct.max(axis=2)
             assert idx[0, 0] == 0 and gain[0, 0] == 0.0
@@ -320,23 +319,25 @@ def test_lifted_kernel_matches_direct_form(dim):
 
 def test_prefix_search_equals_separate_searches(rng, monkeypatch):
     """Each requested prefix size gets the best of its first ``s``
-    codewords, as a search of that prefix alone finds it: for every
-    size from 1 to k, in one pass and with chunk boundaries (every 5
-    codewords) inside prefixes."""
+    codewords, as a search of that prefix alone finds it, and the
+    winning codeword itself: for every size from 1 to k, in one pass and
+    with chunk boundaries (every 5 codewords) inside prefixes."""
     t, n, k = 3, 4, 64
     h = rng.standard_normal((t, n, 2, 2)) + 1j * rng.standard_normal((t, n, 2, 2))
     tol = gain_tolerance(h)
     sizes = list(range(k, 0, -1))  # any order
     for vectors in (gen_rvq(2, 6, seed=3).vectors,
                     np.stack([gen_rvq(2, 6, seed=s).vectors for s in range(t)])):
-        words = _codeword_features(vectors)
-        alone = [_best_codewords(h, words[..., :s]) for s in sizes]
-        for budget in (None, 5 * t * n):
+        alone = [_best_codewords(h, vectors[..., :s, :])[:2] for s in sizes]
+        for budget in (None, 5 * n):
             if budget is not None:
                 monkeypatch.setattr(lfbeam.codebook, "_GAIN_BUDGET", budget)
-            idx, gain = _best_codewords(h, words, sizes)
+            idx, gain, beam = _best_codewords(h, vectors, sizes)
             monkeypatch.undo()
             assert idx.shape == gain.shape == (k, t, n)
+            # each winner's vector is kept with its index
+            words = np.broadcast_to(vectors, (t,) + vectors.shape[-2:])
+            assert np.array_equal(beam, words[np.arange(t)[:, None], idx])
             for i, (idx_s, gain_s) in enumerate(alone):
                 assert np.array_equal(idx[i], idx_s)
                 # BLAS takes a one-codeword prefix as a matrix-vector
@@ -355,8 +356,7 @@ def test_prefix_tie_across_chunk_boundary_breaks_low(monkeypatch):
         ([e2, e2, e1, e1, e1, e2], [0, 0, 2, 2, 2, 2]),
         ([e2, e2, e2, e1, e1, e1], [0, 0, 0, 3, 3, 3]),
     ):
-        words = _codeword_features(np.stack(vectors))
-        idx, gain = _best_codewords(h, words, [1, 2, 3, 4, 5, 6])
+        idx, gain, _ = _best_codewords(h, np.stack(vectors), [1, 2, 3, 4, 5, 6])
         assert idx[:, 0, 0].tolist() == want
         assert gain[:, 0, 0].tolist() == [
             float(any(v is e1 for v in vectors[:s])) for s in range(1, 7)

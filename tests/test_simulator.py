@@ -1,5 +1,6 @@
 import multiprocessing.pool
 import pickle
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -7,9 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import lfbeam.codebook
 import lfbeam.simulator
 from lfbeam.channel import _complex_normal
-from lfbeam.codebook import gen_rvq
 from lfbeam.simulator import (
     BerCurve,
     BerPoint,
@@ -132,9 +133,9 @@ def test_blocks_partition_invariant(monkeypatch):
     best = lfbeam.simulator._best_codewords
 
     def spy(*args):
-        idx, gain = best(*args)
+        idx, gain, beam = best(*args)
         scores.append(gain)
-        return idx, gain
+        return idx, gain, beam
 
     monkeypatch.setattr(lfbeam.simulator, "_best_codewords", spy)
     cfg = SimConfig(**dict(FAST, n_subcarriers=48))
@@ -174,8 +175,8 @@ def test_noiseless_trials_have_zero_errors():
 
 
 def _replay_batch(cfg, batch):
-    """The documented draws of one batch: bits, taps, pilot noise, data
-    noise and codebook seeds, 256 rows each, from one stream."""
+    """The documented draws of one batch: bits, taps, pilot noise and
+    data noise, 256 rows each, from one stream."""
     rng = np.random.default_rng(
         np.random.SeedSequence([cfg.master_seed, batch])
     )
@@ -186,16 +187,34 @@ def _replay_batch(cfg, batch):
     )
     pilot = _complex_normal(rng, (t, n, cfg.n_r, cfg.n_pilots), np.sqrt(0.5))
     noise = _complex_normal(rng, (t, n, cfg.n_r), np.sqrt(0.5))
-    seeds = rng.integers(0, 2**32, size=t)
     h = np.fft.fft(taps, n=n, axis=1)
-    return bits, h, seeds, pilot, noise
+    return bits, h, pilot, noise
+
+
+def _replay_codebooks(cfg, batch, bits):
+    """The documented fresh codebooks of one batch, (2**bits, 256, n_t):
+    codeword-major Gaussian draws from the batch's codebook stream, each
+    scaled to unit length."""
+    rng = np.random.default_rng(
+        np.random.SeedSequence([cfg.master_seed, batch, 1])
+    )
+    g = rng.standard_normal((1 << bits, TRIALS_PER_BATCH, cfg.n_t, 2))
+    g = g.view(np.complex128)[..., 0]
+    return g / np.linalg.norm(g, axis=-1, keepdims=True)
+
+
+def _are_codewords(beams, words):
+    """Whether every beam (n, n_t) is one of the codewords (k, n_t)."""
+    return all((words == beam).all(axis=1).any() for beam in beams)
 
 
 def test_draw_order_is_documented_order():
-    """Replaying (bits, taps, pilot noise, data noise, codebook seeds)
-    from the batch stream reproduces the draws the simulator used: for
-    a whole batch, for one trial in mid-batch and for a block that
-    straddles a batch boundary."""
+    """Replaying (bits, taps, pilot noise, data noise) from the batch
+    stream reproduces the draws the simulator used: for a whole batch,
+    for one trial in mid-batch and for a block that straddles a batch
+    boundary.  The fresh codebooks come from each batch's codebook
+    stream: the beams of trial 277 and of trials 500-529 are codewords
+    of their batch's codeword-major draw."""
     cfg = SimConfig(feedback_bits=3, csi_mode="estimated", master_seed=7,
                     **FAST)
     replay = [
@@ -206,19 +225,26 @@ def test_draw_order_is_documented_order():
         rows = slice(start - 256, start - 256 + count)
         for drawn, want in zip(_draw_block(cfg, start, count), replay):
             assert np.array_equal(drawn, want[rows])
+    books = np.concatenate(
+        [_replay_codebooks(cfg, b, cfg.feedback_bits) for b in (1, 2)], axis=1
+    )
     d = trial_effective_gains(cfg, 6.0, 256 + 21)
     assert np.array_equal(d["channel"], replay[1][21])
-    seed = replay[2][21]
-    words = gen_rvq(cfg.n_t, cfg.feedback_bits, int(seed)).vectors
-    assert all((words == beam).all(axis=1).any() for beam in d["beams"])
+    assert _are_codewords(d["beams"], books[:, 21])
+    _, h, pilot, _ = _draw_block(cfg, 500, 30)
+    _, links = lfbeam.simulator._receiver_links(
+        [cfg], [0], 6.0, h, pilot, 500, [None]
+    )
+    for r, beams in enumerate(links[0][0]):
+        assert _are_codewords(beams, books[:, 500 - 256 + r])
 
 
 def test_every_curve_sees_the_same_noise():
-    """The fresh-codebook seed is drawn last, so it leaves a trial's
-    noise as on the perfect-CSI curve."""
+    """Fresh codebooks come from streams of their own, so they leave a
+    trial's noise as on the perfect-CSI curve."""
     perfect = _draw_block(SimConfig(**FAST), 5, 1)
     fresh = _draw_block(SimConfig(feedback_bits=4, **FAST), 5, 1)
-    assert np.array_equal(perfect[4], fresh[4])
+    assert np.array_equal(perfect[3], fresh[3])
 
 
 def test_post_combining_snr_identity():
@@ -323,31 +349,92 @@ def test_sweep_worker_count_does_not_change_results():
 
 def test_fresh_curves_share_one_codebook_per_trial(monkeypatch):
     """Curves 0, 1 and 8 of one sweep search one 256-word codebook per
-    trial, each in its own prefix, and each still equals its curve swept
-    alone."""
+    trial, drawn from the batch's codebook stream with no ``gen_rvq``
+    call; the B-bit curve picks from the first 2**B codewords, and each
+    curve still equals its curve swept alone."""
     cfg = SimConfig(**FAST)
     curves = [0, 1, 8]
     alone = [
         run_sweep(replace(cfg, feedback_bits=bits)).to_csv_text()
         for bits in curves
     ]
-    drawn, sizes = [], []
+    sizes = []
     gen = lfbeam.simulator.gen_rvq
-    run_block = lfbeam.simulator._run_block
 
     def gen_spy(dim, bits, seed):
         sizes.append(bits)
         return gen(dim, bits, seed)
 
-    def block_spy(*args):
-        drawn.append(args[3])
-        return run_block(*args)
-
     monkeypatch.setattr(lfbeam.simulator, "gen_rvq", gen_spy)
-    monkeypatch.setattr(lfbeam.simulator, "_run_block", block_spy)
     joint = run_sweeps(cfg, curves)
     assert [c.to_csv_text() for c in joint] == alone
-    assert set(sizes) == {8} and len(sizes) == sum(drawn)
+    assert sizes == []
+    configs = [replace(cfg, feedback_bits=bits) for bits in curves]
+    _, h, _, _ = _draw_block(cfg, 256 + 40, 8)
+    beams = lfbeam.simulator._beam_directions(
+        configs, [0, 1, 2], h, 256 + 40, [None] * 3
+    )
+    books = _replay_codebooks(cfg, 1, 8)
+    for c, bits in enumerate(curves):
+        for r in range(8):
+            prefix = books[: 1 << bits, 40 + r]
+            assert _are_codewords(beams[c][r], prefix)
+    assert (beams[0] == books[0, 40:48, None]).all()  # B=0: codeword 0
+
+
+def test_codeword_chunks_do_not_change_results(monkeypatch):
+    """A fresh B=8 block drawn and scanned in 4-codeword chunks, on
+    blocks within and across batches, picks the same beams and gives the
+    same totals as one 256-codeword chunk."""
+    cfg = SimConfig(feedback_bits=8, **FAST)
+    active = np.ones((1, len(cfg.snr_db_points)), dtype=bool)
+
+    def run(start, count):
+        _, h, _, _ = _draw_block(cfg, start, count)
+        beams = lfbeam.simulator._beam_directions(
+            [cfg], [0], h, start, [None]
+        )
+        return beams[0], _run_block([cfg], active, start, count, [None])
+
+    blocks = ((0, 256), (200, 100))
+    whole = [run(*block) for block in blocks]
+    assert len(list(lfbeam.simulator._fresh_draws(cfg, 0, 1, 8))) == 1
+    for module in (lfbeam.codebook, lfbeam.simulator):
+        monkeypatch.setattr(module, "_GAIN_BUDGET", 1 << 14)
+    assert len(list(lfbeam.simulator._fresh_draws(cfg, 0, 1, 8))) == 64
+    for (beams, totals), block in zip(whole, blocks):
+        beams_c, totals_c = run(*block)
+        assert np.array_equal(beams_c, beams)
+        assert np.array_equal(totals_c, totals)
+
+
+def test_fresh_curve_does_not_depend_on_the_largest_curve():
+    """Codeword j of a trial depends neither on B_max nor on the chunk
+    width: next to a B=10 curve, whose 1,024 codewords are drawn in
+    several chunks, the B=1 curve equals the B=1 curve swept alone."""
+    cfg = SimConfig(**FAST)
+    assert len(list(lfbeam.simulator._fresh_draws(cfg, 0, 1, 10))) > 1
+    joint = run_sweeps(cfg, [1, 10])
+    alone = run_sweep(replace(cfg, feedback_bits=1))
+    assert joint[0].to_csv_text() == alone.to_csv_text()
+
+
+def test_fresh_codebook_memory_is_bounded():
+    """One fresh B=14 block on 8 subcarriers peaks below 32 MB, a
+    quarter of the 128 MB that the batch's 16,384 codewords of 256
+    trials take when drawn at once; the codeword chunks keep it near the
+    gain budget (8 MB) plus the chunk's draws and features."""
+    cfg = SimConfig(n_subcarriers=8, feedback_bits=14, snr_db_points=(6.0,))
+    whole = (1 << 14) * TRIALS_PER_BATCH * cfg.n_t * 16
+    assert whole == 128 << 20
+    tracemalloc.start()
+    try:
+        totals = _run_block([cfg], np.ones((1, 1), bool), 0, 256, [None])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert totals[0, 0, 0] == 256 * cfg.n_subcarriers
+    assert peak < whole // 4
 
 
 def test_duplicate_curves_rejected():
