@@ -7,8 +7,8 @@ Run from the root of a checkout of the repository:
 
 For each workload of ``perfbench/workloads.py`` the sweep's curves are
 built as the command line builds them, every (curve, SNR) pair running,
-and these stages are timed on the blocks of batches 1 to ``--blocks``
-(trials 256 to 256 * (blocks + 1) - 1), best of ``--repeats`` rounds:
+and these stages are timed on the blocks of batches 1 to 4 (trials
+256 to 1279) at master seed 1, best of 8 rounds:
 
 - ``draw``: ``_draw_block`` (bits, taps, pilot and data noise, FFT);
 - ``receiver``: ``_receiver_links``, once per block or per SNR point
@@ -48,11 +48,15 @@ from lfbeam.cli import parse_config  # noqa: E402
 from measure import environment  # noqa: E402
 from workloads import WORKLOADS  # noqa: E402
 
+SEED = 1  # master seed of every workload
+BLOCKS = 4  # the blocks of batches 1 to BLOCKS are timed
+REPEATS = 8  # rounds; each stage's best round is kept
 
-def best_ms(fn, starts, repeats):
-    """Best over ``repeats`` rounds of the mean time of ``fn(start)``."""
+
+def best_ms(fn, starts):
+    """Best over ``REPEATS`` rounds of the mean time of ``fn(start)``."""
     best = float("inf")
-    for _ in range(repeats):
+    for _ in range(REPEATS):
         t0 = time.perf_counter()
         for start in starts:
             fn(start)
@@ -83,15 +87,15 @@ def src_lines():
     return total
 
 
-def bench(wl, seed, blocks, repeats):
+def bench(wl):
     config, curves = parse_config(
-        preset=wl.preset, overrides=wl.config_overrides(seed)
+        preset=wl.preset, overrides=wl.config_overrides(SEED)
     )
     configs = [replace(config, feedback_bits=bits) for bits in curves]
     fixed_cbs = [sim._fixed_codebook(cfg) for cfg in configs]
     active = np.ones((len(configs), len(config.snr_db_points)), dtype=bool)
     t = sim.TRIALS_PER_BATCH
-    starts = [t * b for b in range(1, blocks + 1)]
+    starts = [t * b for b in range(1, BLOCKS + 1)]
 
     def draw(start):
         return sim._draw_block(config, start, t)
@@ -105,9 +109,9 @@ def bench(wl, seed, blocks, repeats):
 
     out = {"pairs": int(active.sum())}
     draws = {start: draw(start) for start in starts}
-    out["draw_ms"] = best_ms(draw, starts, repeats)
+    out["draw_ms"] = best_ms(draw, starts)
     links = {start: receiver(start) for start in starts}
-    out["receiver_ms"] = best_ms(receiver, starts, repeats)
+    out["receiver_ms"] = best_ms(receiver, starts)
     # detection alone: _run_block with its draws and receiver side given
     saved = sim._draw_block, sim._receiver_links
     try:
@@ -116,30 +120,27 @@ def bench(wl, seed, blocks, repeats):
             lambda cfgs, running, snr_db, h, pilot, start, cbs:
             links[start][snr_db]
         )
-        out["detect_ms"] = best_ms(block, starts, repeats)
+        out["detect_ms"] = best_ms(block, starts)
     finally:
         sim._draw_block, sim._receiver_links = saved
     block(starts[0])  # settle the heap before counting faults
     faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-    out["block_ms"] = best_ms(block, starts, repeats)
+    out["block_ms"] = best_ms(block, starts)
     faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
-    out["minflt_per_block"] = faults / (len(starts) * repeats)
+    out["minflt_per_block"] = faults / (len(starts) * REPEATS)
     return out
 
 
 def main(argv=None):
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("--out", required=True, help="JSON record to write")
-    p.add_argument("--seed", type=int, default=1, help="master seed")
-    p.add_argument("--blocks", type=int, default=4)
-    p.add_argument("--repeats", type=int, default=8)
     args = p.parse_args(argv)
     env = environment()
     record = {
         "environment": env,
-        "seed": args.seed,
-        "blocks": args.blocks,
-        "repeats": args.repeats,
+        "seed": SEED,
+        "blocks": BLOCKS,
+        "repeats": REPEATS,
         "src_lines": src_lines(),
         "workloads": {},
     }
@@ -148,7 +149,7 @@ def main(argv=None):
     print(f"{'workload':14s} {'pairs':>5s} {'draw':>8s} {'receiver':>9s} "
           f"{'detect':>8s} {'block':>8s} {'minflt':>7s}  (ms per block)")
     for name, wl in WORKLOADS.items():
-        r = bench(wl, args.seed, args.blocks, args.repeats)
+        r = bench(wl)
         record["workloads"][name] = r
         print(f"{name:14s} {r['pairs']:5d} {r['draw_ms']:8.2f} "
               f"{r['receiver_ms']:9.2f} {r['detect_ms']:8.2f} "

@@ -66,6 +66,12 @@ class Codebook:
     def __len__(self) -> int:
         return self.vectors.shape[0]
 
+    @functools.cached_property
+    def features(self) -> np.ndarray:
+        """The codewords' lifted features for the codeword search,
+        computed on first use and kept."""
+        return _lift(self.vectors)
+
 
 @dataclass(frozen=True)
 class QuantizationResult:
@@ -126,7 +132,7 @@ def quantize_direction(h: np.ndarray, codebook: Codebook) -> QuantizationResult:
     if power == 0.0:
         raise ZeroChannelError("cannot quantize an all-zero channel")
     # |h^H w|^2 is ||H w||^2 for the one-row channel H = h^H
-    index, gain, _ = _best_codewords(h.conj()[None, None, None], codebook.vectors)
+    index, gain, _ = _best_codewords(h.conj()[None, None, None], codebook)
     metric = float(gain[0, 0])
     distortion = min(max(1.0 - metric / power, 0.0), 1.0)
     return QuantizationResult(int(index[0, 0]), distortion, metric)
@@ -153,7 +159,7 @@ def select_beamformer(
         raise ValueError(
             f"channel has {h.shape[1]} columns, codebook has dim {codebook.dim}"
         )
-    index, gain, _ = _best_codewords(h[None, None], codebook.vectors)
+    index, gain, _ = _best_codewords(h[None, None], codebook)
     metric = float(gain[0, 0])
     _, lam = dominant_right_eigvec_batch(h[None])
     top = float(lam[0])
@@ -165,11 +171,9 @@ def select_beamformer(
 
 
 @functools.lru_cache(maxsize=None)
-def _layout(dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Index pairs i < j of a ``dim``-vector, and the weights that double
-    the off-diagonal lifted features; built once per ``dim``."""
-    i, j = np.triu_indices(dim, 1)
-    return i, j, np.repeat([1.0, 2.0], [dim, dim * dim - dim])
+def _pairs(dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """Index pairs i < j of a ``dim``-vector, built once per ``dim``."""
+    return np.triu_indices(dim, 1)
 
 
 def _lift(x: np.ndarray) -> np.ndarray:
@@ -181,7 +185,7 @@ def _lift(x: np.ndarray) -> np.ndarray:
     ``_lift(conj(a))`` with ``_lift(w)`` whose off-diagonal entries are
     doubled (see :func:`_best_codewords`).
     """
-    i, j, _ = _layout(x.shape[-1])
+    i, j = _pairs(x.shape[-1])
     xc = x.conj()
     cross = xc.take(i, axis=-1) * x.take(j, axis=-1)
     return np.concatenate([(xc * x).real, cross.view(np.float64)], axis=-1)
@@ -193,17 +197,17 @@ def _best_codewords(
     """Best codeword per channel matrix: argmax over w of ``||H w||^2``.
 
     ``h`` is a (t, n, n_r, dim) stack of channel matrices.  ``words``
-    holds unit codewords, (k, dim) shared by the stack or (t, k, dim)
-    per group, or is a chunk source: an iterator of Gaussian draws
-    ``g`` (t, w, dim), the next ``w`` codewords ``g / ||g||`` of each
-    group, whose total ``max(sizes)`` gives.  Returns ``(index, gain,
-    beam)``, (t, n) each and (t, n, dim) for the winning codeword; with
-    ``sizes``, a list of prefix sizes, with a leading axis: the best of
-    the first ``s`` codewords for each ``s``.
+    holds unit codewords: a :class:`Codebook` or a (k, dim) array shared
+    by the stack, a (t, k, dim) array with one codebook per group, or a
+    chunk source, an iterator of (t, w, dim) arrays, the next ``w``
+    codewords of each group, whose total ``max(sizes)`` gives.  Returns
+    ``(index, gain, beam)``, (t, n) each and (t, n, dim) for the winning
+    codeword; with ``sizes``, a list of prefix sizes, with a leading
+    axis: the best of the first ``s`` codewords for each ``s``.
 
     Gains are one real GEMM in lifted form, the channel's features
     ``sum_r _lift(conj(H_r))`` times the codewords' ``_lift(w)`` (a
-    draw's own over ``||g||^2``), so the cost does not grow with n_r.
+    codebook's cached ``features``), so the cost does not grow with n_r.
     Codewords are scanned once, chunk by chunk, each chunk in stacks of
     whole groups within ``_GAIN_BUDGET`` gains, and dropped once scored,
     so the winners' vectors are kept with their index and gain.  The
@@ -214,10 +218,12 @@ def _best_codewords(
     feats = feats.sum(axis=2) if n_r > 1 else feats[:, :, 0]
     # the off-diagonal doubling goes on the channel side: scaling by 2
     # is exact, and the codewords outnumber the channels
-    feats *= _layout(dim)[2]
+    feats[:, :, dim:] *= 2.0
+    lifted = None
+    if isinstance(words, Codebook):
+        lifted, words = words.features, words.vectors
     ends = [words.shape[-2]] if sizes is None else sorted(set(sizes))
-    drawn = not isinstance(words, np.ndarray)
-    if not drawn:
+    if isinstance(words, np.ndarray):
         step = max(1, min(ends[-1], _GAIN_BUDGET // n))
         words = [words[..., lo : lo + step, :] for lo in range(0, ends[-1], step)]
     found, best, lo = {}, None, 0
@@ -228,25 +234,23 @@ def _best_codewords(
         stops = [e for e in ends if lo < e < hi] + [hi]
         idx = np.empty((len(stops), t * n), np.intp)
         gain = np.empty(idx.shape)
-        norm2 = np.empty(chunk.shape[:-1]) if drawn else None
+        if chunk.ndim == 2:  # shared by the stack: lifted once
+            cols = (_lift(chunk) if lifted is None else lifted[lo:hi]).T
         # whole groups stacked up to the gain budget: a group's gains are
         # the same product in any stack, whatever the block size
         stack = max(1, _GAIN_BUDGET // (n * (hi - lo)))
         for a in range(0, t, stack):
-            rows = slice(a * n, min(a + stack, t) * n)
-            cols = _lift(chunk if chunk.ndim == 2 else chunk[a : a + stack])
-            if drawn:  # ||g||^2 is the sum of g's first dim features
-                norm2[a : a + stack] = cols[..., :dim] @ np.ones(dim)
-                cols /= norm2[a : a + stack, :, None]
-            tile = (feats[a : a + stack] @ cols.swapaxes(-1, -2)).reshape(-1, hi - lo)
+            rows = slice(a * n, (a + stack) * n)
+            if chunk.ndim == 3:
+                cols = _lift(chunk[a : a + stack]).swapaxes(-1, -2)
+            tile = (feats[a : a + stack] @ cols).reshape(-1, hi - lo)
             for s, end in enumerate(stops):
                 idx[s, rows] = tile[:, : end - lo].argmax(axis=1)
-            gain[:, rows] = tile[np.arange(len(tile)), idx[:, rows]]
+            flat = idx[:, rows] + np.arange(0, tile.size, hi - lo)
+            gain[:, rows] = tile.take(flat)
             del tile  # one tile at a time, gone before the gathers below
         at = idx if chunk.ndim == 2 else np.repeat(np.arange(t) * (hi - lo), n) + idx
         vec = chunk.reshape(-1, dim).take(at, axis=0)
-        if drawn:  # the winning draws as unit codewords
-            vec /= np.sqrt(norm2.reshape(-1).take(at))[..., None]
         if best is not None:  # merged with the best of earlier chunks
             idx += lo
             better = gain > best[1]  # strict: earlier chunks keep ties
@@ -257,7 +261,8 @@ def _best_codewords(
         found.update((e, (idx[s], gain[s], vec[s]))
                      for s, e in enumerate(stops) if e in ends)
     if sizes is None:
-        return tuple(x.reshape((t, n) + x.shape[1:]) for x in best)
+        idx, gain, vec = best
+        return idx.reshape(t, n), gain.reshape(t, n), vec.reshape(t, n, dim)
     return tuple(np.stack(x).reshape((-1, t, n) + x[0].shape[1:])
                  for x in zip(*(found[e] for e in sizes)))
 

@@ -363,8 +363,11 @@ def _fixed_codebook(config: SimConfig) -> Codebook | None:
     """The shared codebook used when ``fresh_codebook`` is off."""
     if config.feedback_bits is None or config.fresh_codebook:
         return None
-    seq = np.random.SeedSequence([config.master_seed, _CODEBOOK_STREAM])
-    seed = int(seq.generate_state(1, dtype=np.uint32)[0])
+    seed = int(
+        np.random.SeedSequence(
+            [config.master_seed, _CODEBOOK_STREAM]
+        ).generate_state(1, dtype=np.uint32)[0]
+    )
     return gen_rvq(config.n_t, config.feedback_bits, seed)
 
 
@@ -372,7 +375,9 @@ def _draw_batch(config: SimConfig, batch: int):
     """Bits, taps, pilot noise (None under perfect CSI) and data noise
     of all trials of batch ``batch``, drawn from its one stream in that
     order, one call per array."""
-    rng = np.random.default_rng([int(config.master_seed), batch])
+    rng = np.random.default_rng(
+        np.random.SeedSequence([int(config.master_seed), batch])
+    )
     t, n = TRIALS_PER_BATCH, config.n_subcarriers
     bits = rng.integers(
         0, 2, size=(t, n * config.bits_per_symbol), dtype=np.uint8
@@ -413,16 +418,17 @@ def _draw_block(config: SimConfig, start: int, count: int):
 
 
 def _fresh_draws(config: SimConfig, start: int, count: int, bits: int):
-    """The Gaussian draws behind the fresh codebooks of trials
-    [start, start+count), a chunk source for :func:`_best_codewords`.
+    """The fresh codebooks of trials [start, start+count), as a chunk
+    source for :func:`_best_codewords`.
 
     Batch ``b`` draws the 2**bits codewords of its 256 trials from a
     stream of its own, ``SeedSequence([master_seed, b, 1])``,
     codeword-major (codeword 0 of every trial first), each as n_t
-    (re, im) pairs, ``w`` codewords at a time, yielded (count, w, n_t).
-    ``standard_normal`` gives the same numbers however a draw is split
-    into calls, so codeword ``j`` of a trial depends on neither ``bits``
-    nor ``w``, and ``w`` bounds the memory up to 20 bits.
+    (re, im) pairs of standard normals scaled to unit length, ``w``
+    codewords at a time, yielded (count, w, n_t).  ``standard_normal``
+    gives the same numbers however a draw is split into calls, so
+    codeword ``j`` of a trial depends on neither ``bits`` nor ``w``,
+    and ``w`` bounds the memory up to 20 bits.
     """
     t, seed = TRIALS_PER_BATCH, int(config.master_seed)
     batches = range(start // t, -(-(start + count) // t))
@@ -440,6 +446,7 @@ def _fresh_draws(config: SimConfig, start: int, count: int, bits: int):
             out[lo - start : hi - start] = rng.standard_normal(shape)[
                 :, lo - b * t : hi - b * t
             ].swapaxes(0, 1)
+        out /= np.sqrt(np.einsum("twij,twij->tw", out, out))[..., None, None]
         yield out.view(np.complex128)[..., 0]
 
 
@@ -469,7 +476,7 @@ def _beam_directions(
             v, _ = dominant_right_eigvec_batch(hr.reshape(t * n, n_r, n_t))
             beams[c] = v.reshape(t, n, n_t)
         elif not configs[c].fresh_codebook:
-            _, _, beams[c] = _best_codewords(hr, fixed_cbs[c].vectors)
+            _, _, beams[c] = _best_codewords(hr, fixed_cbs[c])
     fresh = [
         c for c, cfg in enumerate(configs)
         if cfg.feedback_bits is not None and cfg.fresh_codebook

@@ -258,15 +258,18 @@ def test_select_rejects_bad_rho():
 
 def test_kernel_chunked_scan_matches_single_pass(rng, monkeypatch):
     h = rng.standard_normal((3, 5, 2, 2)) + 1j * rng.standard_normal((3, 5, 2, 2))
-    shared = gen_rvq(2, 6, seed=1).vectors
+    shared = gen_rvq(2, 6, seed=1)
     per_trial = np.stack([gen_rvq(2, 6, seed=s).vectors for s in range(3)])
-    for vectors in (shared, per_trial):
-        idx, gain, _ = _best_codewords(h, vectors)
+    # a Codebook is searched through its cached features
+    for words, vectors in ((shared, shared.vectors),
+                           (shared.vectors, shared.vectors),
+                           (per_trial, per_trial)):
+        idx, gain, _ = _best_codewords(h, words)
         assert np.array_equal(idx, np.argmax(direct_gains(h, vectors), axis=2))
         # 7 codewords of 5 subcarriers per chunk: ten chunks, the last
         # one ragged, each scored one trial at a time
         monkeypatch.setattr(lfbeam.codebook, "_GAIN_BUDGET", 7 * 5)
-        idx_c, gain_c, _ = _best_codewords(h, vectors)
+        idx_c, gain_c, _ = _best_codewords(h, words)
         monkeypatch.undo()
         assert np.array_equal(idx_c, idx)
         # BLAS may round a narrower column block differently in the
@@ -287,14 +290,14 @@ def test_kernel_tie_across_chunk_boundary_breaks_low(monkeypatch):
 
 @pytest.mark.parametrize("dim", [1, 2, 3, 4])
 def test_lifted_kernel_matches_direct_form(dim):
-    """For every antenna geometry and both codebook layouts, the lifted
+    """For every antenna geometry and every codebook form, the lifted
     winner is a direct-form maximizer and its gain is the direct-form
     maximum, both to rounding; where the direct-form runner-up trails by
     more than rounding, the indices are equal.  An all-zero channel
     scores every codeword 0 and picks index 0."""
     rng = np.random.default_rng(40 + dim)
     t, n = 3, 7
-    shared = gen_rvq(dim, 5, seed=dim).vectors
+    shared = gen_rvq(dim, 5, seed=dim)
     per_trial = np.stack([gen_rvq(dim, 5, seed=10 * dim + s).vectors
                           for s in range(t)])
     for n_r in (1, 2, 3):
@@ -302,8 +305,10 @@ def test_lifted_kernel_matches_direct_form(dim):
              + 1j * rng.standard_normal((t, n, n_r, dim)))
         h[0, 0] = 0.0
         tol = gain_tolerance(h)
-        for vectors in (shared, per_trial):
-            idx, gain, _ = _best_codewords(h, vectors)
+        for words, vectors in ((shared, shared.vectors),
+                               (shared.vectors, shared.vectors),
+                               (per_trial, per_trial)):
+            idx, gain, _ = _best_codewords(h, words)
             direct = direct_gains(h, vectors)
             best = direct.max(axis=2)
             assert idx[0, 0] == 0 and gain[0, 0] == 0.0
@@ -343,6 +348,36 @@ def test_prefix_search_equals_separate_searches(rng, monkeypatch):
                 # BLAS takes a one-codeword prefix as a matrix-vector
                 # product, which may round differently in the last bit
                 assert (np.abs(gain[i] - gain_s) <= tol).all()
+
+
+def test_kernel_scans_a_chunk_source(rng):
+    """Unit codewords handed over as a chunk source, in ragged chunks of
+    5, 1, 9 and 17 codewords per trial with prefix ends inside chunks,
+    give what one search of the whole (t, k, dim) array gives: the same
+    index and codeword for every prefix, the direct-form argmax wherever
+    the runner-up trails by more than rounding, and gains within
+    rounding of the direct-form maximum."""
+    t, n, k = 3, 4, 32
+    h = rng.standard_normal((t, n, 2, 2)) + 1j * rng.standard_normal((t, n, 2, 2))
+    g = rng.standard_normal((t, k, 2)) + 1j * rng.standard_normal((t, k, 2))
+    words = g / np.linalg.norm(g, axis=-1, keepdims=True)
+    sizes = [32, 3, 6, 1, 15, 20]
+    bounds = [0, 5, 6, 15, 32]
+    chunks = (words[:, lo:hi] for lo, hi in zip(bounds, bounds[1:]))
+    idx, gain, beam = _best_codewords(h, chunks, sizes)
+    want_idx, _, want_beam = _best_codewords(h, words, sizes)
+    assert np.array_equal(idx, want_idx)
+    assert np.array_equal(beam, want_beam)
+    tol = gain_tolerance(h)
+    for i, s in enumerate(sizes):
+        direct = direct_gains(h, words[:, :s])
+        best = direct.max(axis=2)
+        assert (np.abs(gain[i] - best) <= tol).all()
+        if s > 1:
+            clear = best - np.sort(direct, axis=2)[..., -2] > 4 * tol
+            assert clear.all()
+        assert np.array_equal(idx[i], direct.argmax(axis=2))
+        assert np.array_equal(beam[i], words[np.arange(t)[:, None], idx[i]])
 
 
 def test_prefix_tie_across_chunk_boundary_breaks_low(monkeypatch):

@@ -194,13 +194,13 @@ def _replay_batch(cfg, batch):
 def _replay_codebooks(cfg, batch, bits):
     """The documented fresh codebooks of one batch, (2**bits, 256, n_t):
     codeword-major Gaussian draws from the batch's codebook stream, each
-    scaled to unit length."""
+    divided by the root of its sum of squared (re, im) parts."""
     rng = np.random.default_rng(
         np.random.SeedSequence([cfg.master_seed, batch, 1])
     )
     g = rng.standard_normal((1 << bits, TRIALS_PER_BATCH, cfg.n_t, 2))
-    g = g.view(np.complex128)[..., 0]
-    return g / np.linalg.norm(g, axis=-1, keepdims=True)
+    g /= np.sqrt(np.einsum("...ij,...ij->...", g, g))[..., None, None]
+    return g.view(np.complex128)[..., 0]
 
 
 def _are_codewords(beams, words):
@@ -213,8 +213,9 @@ def test_draw_order_is_documented_order():
     stream reproduces the draws the simulator used: for a whole batch,
     for one trial in mid-batch and for a block that straddles a batch
     boundary.  The fresh codebooks come from each batch's codebook
-    stream: the beams of trial 277 and of trials 500-529 are codewords
-    of their batch's codeword-major draw."""
+    stream: trials 500-529 get their batch's codeword-major draw, scaled
+    to unit length, and the beams of trial 277 and of trials 500-529 are
+    codewords of it."""
     cfg = SimConfig(feedback_bits=3, csi_mode="estimated", master_seed=7,
                     **FAST)
     replay = [
@@ -227,6 +228,10 @@ def test_draw_order_is_documented_order():
             assert np.array_equal(drawn, want[rows])
     books = np.concatenate(
         [_replay_codebooks(cfg, b, cfg.feedback_bits) for b in (1, 2)], axis=1
+    )
+    drawn = lfbeam.simulator._fresh_draws(cfg, 500, 30, cfg.feedback_bits)
+    assert np.array_equal(
+        np.concatenate(list(drawn), axis=1), books[:, 244:274].swapaxes(0, 1)
     )
     d = trial_effective_gains(cfg, 6.0, 256 + 21)
     assert np.array_equal(d["channel"], replay[1][21])
