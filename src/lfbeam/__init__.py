@@ -4,9 +4,7 @@ sweeps."""
 
 from .numerics import (
     SingularMatrixError,
-    dominant_right_eigvec,
     dominant_right_eigvec_batch,
-    hermitian,
     mat_inverse,
 )
 from .channel import (

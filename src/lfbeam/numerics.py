@@ -3,9 +3,11 @@
 Everything operates on plain numpy arrays with dtype complex128 and is
 written for the tiny matrices that show up in beamforming (a handful of
 rows and columns).  The dominant right singular direction (the MRT
-beam) has one batched routine: the rank-one closed form for single-row
-channels and ``np.linalg.eigh`` on the Gram matrix otherwise, so it is
-exact up to rounding and has no convergence criterion.
+beam) has one batched routine with three routes: the rank-one closed
+form for single-row channels, the closed-form top eigenpair of the 2x2
+Gram matrix for two-column channels, and ``np.linalg.eigh`` on the Gram
+matrix otherwise.  All three are exact up to rounding and have no
+convergence criterion.
 """
 
 from __future__ import annotations
@@ -18,14 +20,6 @@ COND_LIMIT = 1e12
 
 class SingularMatrixError(ValueError):
     """Matrix is singular or too ill-conditioned to invert reliably."""
-
-
-def hermitian(a: np.ndarray) -> np.ndarray:
-    """Conjugate transpose of a 2-D array."""
-    a = np.asarray(a)
-    if a.ndim != 2:
-        raise ValueError(f"expected a 2-D array, got ndim={a.ndim}")
-    return a.conj().T
 
 
 def mat_inverse(a: np.ndarray) -> np.ndarray:
@@ -63,31 +57,28 @@ def _phase_fix_rows(v: np.ndarray) -> np.ndarray:
     return v * phase[:, None]
 
 
-def dominant_right_eigvec(a: np.ndarray) -> tuple[np.ndarray, float]:
-    """Dominant right singular direction of one matrix.
-
-    Returns ``(v, lam)`` with ``||v|| = 1``, ``lam = ||a v||^2`` (the
-    largest eigenvalue of ``a^H a``), and the first nonzero entry of
-    ``v`` real and nonnegative.  See :func:`dominant_right_eigvec_batch`.
-    """
-    a = np.asarray(a, dtype=np.complex128)
-    if a.ndim != 2:
-        raise ValueError(f"expected a 2-D array, got ndim={a.ndim}")
-    v, lam = dominant_right_eigvec_batch(a[None])
-    return v[0], float(lam[0])
-
-
 def dominant_right_eigvec_batch(
     mats: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Dominant right singular directions of a stack of matrices.
 
-    ``mats`` has shape (n, r, c).  A single row (``r == 1``) has the
-    closed form ``conj(a) / ||a||``, and an all-zero row gets the first
-    unit vector.  Otherwise ``v`` is the top eigenvector of the Gram
-    matrix ``a^H a`` from ``np.linalg.eigh``.  Returns ``(v, lam)`` of
-    shapes (n, c) and (n,), with the phase convention of
-    :func:`dominant_right_eigvec` and ``lam = ||a v||^2``.
+    ``mats`` has shape (n, r, c).  There are three routes:
+
+    - a single row (``r == 1``) has the closed form ``conj(a) / ||a||``,
+      and an all-zero row gets the first unit vector;
+    - two columns (``c == 2``) take the top eigenpair of the 2x2 Gram
+      matrix in closed form: with ``half = (g11 - g22)/2`` and
+      ``root = sqrt(half^2 + |g12|^2)``, ``lam = (g11 + g22)/2 + root``
+      and ``v`` is ``(root + half, conj g12)`` if ``g11 >= g22``, else
+      ``(g12, root - half)``, so neither subtracts nearly equal numbers;
+      its squared norm is ``2 root (root + |half|)``, and a zero ``v``
+      (no unique direction) becomes the first unit vector;
+    - otherwise ``v`` is the top eigenvector of the Gram matrix
+      ``a^H a`` from ``np.linalg.eigh``.
+
+    Returns ``(v, lam)`` of shapes (n, c) and (n,): ``||v|| = 1`` with
+    the first nonzero entry of each ``v`` real and nonnegative, and
+    ``lam`` the largest eigenvalue of ``a^H a``.
     """
     mats = np.asarray(mats, dtype=np.complex128)
     if mats.shape[1] == 1:
@@ -97,6 +88,22 @@ def dominant_right_eigvec_batch(
         v = v / np.where(zero, 1.0, norms)[:, None]
         v[zero] = 0.0
         v[zero, 0] = 1.0
+    elif mats.shape[2] == 2:
+        a1, a2 = mats[:, :, 0], mats[:, :, 1]
+        g11 = (a1.real**2 + a1.imag**2).sum(axis=1)
+        g22 = (a2.real**2 + a2.imag**2).sum(axis=1)
+        g12 = (a1.conj() * a2).sum(axis=1)
+        half = 0.5 * (g11 - g22)
+        root = np.hypot(half, np.abs(g12))
+        top = half >= 0.0
+        v = np.empty((mats.shape[0], 2), dtype=np.complex128)
+        v[:, 0] = np.where(top, root + half, g12)
+        v[:, 1] = np.where(top, g12.conj(), root - half)
+        norms = np.sqrt(2.0 * root * (root + np.abs(half)))
+        zero = norms == 0.0
+        v /= np.where(zero, 1.0, norms)[:, None]
+        v[zero] = (1.0, 0.0)
+        return _phase_fix_rows(v), 0.5 * (g11 + g22) + root
     else:
         gram = np.einsum("nij,nik->njk", mats.conj(), mats)
         v = np.linalg.eigh(gram)[1][:, :, -1]

@@ -34,7 +34,7 @@ import itertools
 import multiprocessing
 import numbers
 import os
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -194,24 +194,11 @@ class SimConfig:
         return 2 if self.modulation == "qpsk" else 1
 
     def to_dict(self) -> dict:
-        return {
-            "n_t": self.n_t,
-            "n_r": self.n_r,
-            "n_subcarriers": self.n_subcarriers,
-            "n_taps": self.n_taps,
-            "modulation": self.modulation,
-            "feedback_bits": (
-                "perfect" if self.feedback_bits is None else self.feedback_bits
-            ),
-            "fresh_codebook": self.fresh_codebook,
-            "csi_mode": self.csi_mode,
-            "n_pilots": self.n_pilots,
-            "pilot_snr_db": self.pilot_snr_db,
-            "snr_db_points": list(self.snr_db_points),
-            "target_errors": self.target_errors,
-            "max_bits": self.max_bits,
-            "master_seed": self.master_seed,
-        }
+        out = asdict(self)
+        if self.feedback_bits is None:
+            out["feedback_bits"] = "perfect"
+        out["snr_db_points"] = list(self.snr_db_points)
+        return out
 
     @classmethod
     def from_dict(cls, raw: dict) -> "SimConfig":

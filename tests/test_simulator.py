@@ -352,6 +352,27 @@ def test_sweep_worker_count_does_not_change_results():
         assert [c.to_csv_text() for c in joint] == alone
 
 
+def test_mimo22_counts_are_pinned(monkeypatch):
+    """A short 2x2 QPSK sweep gives the counts it gave when the perfect
+    beam came from ``np.linalg.eigh``; the two-column closed form now
+    serves it, so ``eigh`` is never called."""
+
+    def no_eigh(*args, **kwargs):
+        raise AssertionError("np.linalg.eigh called on a 2x2 link")
+
+    monkeypatch.setattr(np.linalg, "eigh", no_eigh)
+    cfg = SimConfig(n_r=2, modulation="qpsk", snr_db_points=(0.0, 4.0),
+                    target_errors=600, max_bits=200_000, master_seed=5)
+    counts = [
+        [(p.bits_sent, p.bit_errors, p.null_skips) for p in curve.points]
+        for curve in run_sweeps(cfg, [None, 8])
+    ]
+    assert counts == [
+        [(32768, 1646, 0), (98304, 922, 0)],
+        [(32768, 1586, 0), (98304, 904, 0)],
+    ]
+
+
 def test_fresh_curves_share_one_codebook_per_trial(monkeypatch):
     """Curves 0, 1 and 8 of one sweep search one 256-word codebook per
     trial, drawn from the batch's codebook stream with no ``gen_rvq``
