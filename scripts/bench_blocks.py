@@ -13,16 +13,18 @@ and these stages are timed on the blocks of batches 1 to 4 (trials
 - ``draw``: ``_draw_block`` (bits, taps, pilot and data noise, FFT);
 - ``receiver``: ``_receiver_links``, once per block or per SNR point
   when the pilot power follows the SNR (LS estimate, beam selection for
-  every curve, combiners);
+  every curve, combiners, each curve's effective gains ``g`` and
+  combined noise ``z``);
 - ``detect``: the rest of ``_run_block`` for all pairs, with the draws
-  and the receiver side of the block given;
+  and the receiver side of the block given (``sqrt(rho) * g * x + z``,
+  hard decisions and error counts);
 - ``block``: the whole ``_run_block``, with its minor page faults
   (``ru_minflt``) per block over all of its rounds.
 
 A table goes to standard output and a JSON record, with the machine,
 Python, numpy and BLAS versions and the line count of ``src/``, to
-``--out``.
-One BLAS thread is used, as in the benchmark.
+``--out``.  The recorded commit ends in ``-dirty`` when tracked files
+differ from it.  One BLAS thread is used, as in the benchmark.
 """
 
 import os
@@ -34,6 +36,7 @@ import argparse
 import glob
 import json
 import resource
+import subprocess
 import sys
 import time
 from dataclasses import replace
@@ -64,7 +67,7 @@ def best_ms(fn, starts):
     return best * 1e3
 
 
-def receiver_side(configs, active, start, h, pilot, fixed_cbs):
+def receiver_side(configs, active, start, h, pilot, noise, fixed_cbs):
     """``_receiver_links`` as ``_run_block`` calls it, per SNR point."""
     config = configs[0]
     per_snr = config.csi_mode == "estimated" and config.pilot_snr_db is None
@@ -73,7 +76,7 @@ def receiver_side(configs, active, start, h, pilot, fixed_cbs):
         if not links or per_snr:
             running = np.flatnonzero(active.any(axis=1)).tolist()
             last = sim._receiver_links(
-                configs, running, snr_db, h, pilot, start, fixed_cbs
+                configs, running, snr_db, h, pilot, noise, start, fixed_cbs
             )
         links[snr_db] = last
     return links
@@ -101,8 +104,10 @@ def bench(wl):
         return sim._draw_block(config, start, t)
 
     def receiver(start):
-        _, h, pilot, _ = draws[start]
-        return receiver_side(configs, active, start, h, pilot, fixed_cbs)
+        _, h, pilot, noise = draws[start]
+        return receiver_side(
+            configs, active, start, h, pilot, noise, fixed_cbs
+        )
 
     def block(start):
         return sim._run_block(configs, active, start, t, fixed_cbs)
@@ -117,7 +122,7 @@ def bench(wl):
     try:
         sim._draw_block = lambda cfg, start, count: draws[start]
         sim._receiver_links = (
-            lambda cfgs, running, snr_db, h, pilot, start, cbs:
+            lambda cfgs, running, snr_db, h, pilot, noise, start, cbs:
             links[start][snr_db]
         )
         out["detect_ms"] = best_ms(block, starts)
@@ -136,6 +141,12 @@ def main(argv=None):
     p.add_argument("--out", required=True, help="JSON record to write")
     args = p.parse_args(argv)
     env = environment()
+    dirty = subprocess.run(
+        ["git", "-C", ROOT, "status", "--porcelain", "--untracked-files=no"],
+        capture_output=True, text=True,
+    ).stdout.strip()
+    if env["commit"] and dirty:
+        env["commit"] += "-dirty"
     record = {
         "environment": env,
         "seed": SEED,

@@ -8,8 +8,6 @@ from .numerics import (
     mat_inverse,
 )
 from .channel import (
-    ChannelRealization,
-    ChannelTaps,
     InvalidLengthError,
     ShapeMismatchError,
     TrainingSequence,
@@ -31,14 +29,9 @@ from .codebook import (
     select_beamformer,
 )
 from .beamforming import (
-    BeamformPair,
-    NullEffectiveChannelError,
     PrecoderSet,
     SingularStackError,
     apply_power_constraint,
-    effective_scalar_channel,
-    mrc_pair,
-    mrc_receive,
     zfbf_precoders,
     zfbf_sinr,
 )
@@ -48,13 +41,10 @@ from .simulator import (
     ConfigError,
     OddBitCountError,
     SimConfig,
-    TrialResult,
-    awgn,
     demodulate,
     modulate,
     run_sweep,
     run_sweeps,
-    run_trial,
     snr_at_ber,
     trial_effective_gains,
     write_curve_csv,

@@ -1,4 +1,4 @@
-"""Transmit beamformers, receive combiners, and zero-forcing precoders."""
+"""Transmit power constraint and zero-forcing precoders."""
 
 from __future__ import annotations
 
@@ -9,38 +9,16 @@ import numpy as np
 from .numerics import SingularMatrixError, mat_inverse
 
 __all__ = [
-    "NullEffectiveChannelError",
     "SingularStackError",
-    "BeamformPair",
     "PrecoderSet",
-    "mrc_receive",
-    "mrc_pair",
     "apply_power_constraint",
-    "effective_scalar_channel",
     "zfbf_precoders",
     "zfbf_sinr",
 ]
 
 
-class NullEffectiveChannelError(ValueError):
-    """H @ b is exactly zero; there is nothing to combine."""
-
-
 class SingularStackError(ValueError):
     """Stacked user directions are linearly dependent (or nearly so)."""
-
-
-@dataclass(frozen=True)
-class BeamformPair:
-    """A transmit beam, its matched receive combiner, and the link gain.
-
-    ``gain`` is ``|a^H H b|^2 / ||b||^2``, the post-combining power gain
-    per unit transmit power.
-    """
-
-    transmit: np.ndarray
-    receive: np.ndarray
-    gain: float
 
 
 @dataclass(frozen=True)
@@ -49,28 +27,6 @@ class PrecoderSet:
 
     vectors: np.ndarray
     source_directions: np.ndarray
-
-
-def mrc_receive(h: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Maximum ratio combiner for channel ``h`` and transmit beam ``b``.
-
-    Returns ``a = h @ b / ||h @ b||``, the unit combiner maximizing
-    post-combining SNR; ``a^H (h @ b)`` comes out real and positive.
-    """
-    t = np.asarray(h, dtype=np.complex128) @ np.asarray(b, dtype=np.complex128)
-    n = np.linalg.norm(t)
-    if n == 0.0:
-        raise NullEffectiveChannelError("effective channel h @ b is zero")
-    return t / n
-
-
-def mrc_pair(h: np.ndarray, b: np.ndarray) -> BeamformPair:
-    """Bundle a transmit beam with its MRC combiner and link gain."""
-    b = np.asarray(b, dtype=np.complex128)
-    a = mrc_receive(h, b)
-    g = effective_scalar_channel(h, b, a)
-    bp = float(np.vdot(b, b).real)
-    return BeamformPair(b, a, float(np.abs(g) ** 2) / bp)
 
 
 def apply_power_constraint(beams: np.ndarray, total_power: float) -> np.ndarray:
@@ -88,14 +44,6 @@ def apply_power_constraint(beams: np.ndarray, total_power: float) -> np.ndarray:
         raise ValueError("beams must have nonzero norm")
     scale = np.sqrt(total_power / beams.shape[0]) / norms
     return beams * scale[:, None]
-
-
-def effective_scalar_channel(
-    h: np.ndarray, b: np.ndarray, a: np.ndarray
-) -> complex:
-    """The scalar channel ``a^H H b`` seen after beamforming/combining."""
-    h = np.asarray(h, dtype=np.complex128)
-    return complex(np.vdot(a, h @ b))
 
 
 def zfbf_precoders(directions: np.ndarray) -> PrecoderSet:

@@ -8,15 +8,13 @@ so each subcarrier of the DFT view is marginally CN(0, 1) per entry.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
     "ShapeMismatchError",
     "InvalidLengthError",
-    "ChannelTaps",
-    "ChannelRealization",
     "TrainingSequence",
     "gen_rayleigh_flat",
     "gen_selective_taps",
@@ -32,50 +30,6 @@ class ShapeMismatchError(ValueError):
 
 class InvalidLengthError(ValueError):
     """A requested sequence length is out of range."""
-
-
-@dataclass(frozen=True)
-class ChannelTaps:
-    """Time-domain taps of a frequency-selective MIMO channel.
-
-    ``taps`` has shape (n_taps, n_r, n_t); tap ``l`` carries average
-    power ``1 / n_taps`` per antenna pair.
-    """
-
-    taps: np.ndarray
-
-    def __post_init__(self):
-        t = np.asarray(self.taps, dtype=np.complex128)
-        if t.ndim != 3:
-            raise ShapeMismatchError(f"taps must be 3-D, got ndim={t.ndim}")
-        if t.shape[0] < 1:
-            raise InvalidLengthError("need at least one tap")
-        object.__setattr__(self, "taps", t)
-
-    @property
-    def n_taps(self) -> int:
-        return self.taps.shape[0]
-
-    @property
-    def n_rx(self) -> int:
-        return self.taps.shape[1]
-
-    @property
-    def n_tx(self) -> int:
-        return self.taps.shape[2]
-
-
-@dataclass(frozen=True)
-class ChannelRealization:
-    """Per-subcarrier channel matrices of one OFDM channel realization.
-
-    ``per_subcarrier[k]`` is the (n_r, n_t) matrix on subcarrier ``k``,
-    the length-``n_subcarriers`` DFT of the taps.
-    """
-
-    per_subcarrier: np.ndarray
-    n_subcarriers: int
-    source_taps: ChannelTaps = field(repr=False)
 
 
 @dataclass(frozen=True)
@@ -108,8 +62,9 @@ def gen_rayleigh_flat(n_r: int, n_t: int, rng: np.random.Generator) -> np.ndarra
 
 def gen_selective_taps(
     n_r: int, n_t: int, n_taps: int, rng: np.random.Generator
-) -> ChannelTaps:
-    """Draw ``n_taps`` i.i.d. taps with uniform power profile.
+) -> np.ndarray:
+    """Draw ``n_taps`` i.i.d. taps with uniform power profile, as an
+    (n_taps, n_r, n_t) array.
 
     Each tap entry is CN(0, 1/n_taps), so the summed tap power per
     antenna pair averages to one and every DFT bin of the subcarrier
@@ -117,24 +72,28 @@ def gen_selective_taps(
     """
     if n_taps < 1:
         raise InvalidLengthError(f"n_taps must be >= 1, got {n_taps}")
-    scale = np.sqrt(0.5 / n_taps)
-    return ChannelTaps(_complex_normal(rng, (n_taps, n_r, n_t), scale))
+    return _complex_normal(rng, (n_taps, n_r, n_t), np.sqrt(0.5 / n_taps))
 
 
-def to_subcarriers(taps: ChannelTaps, n_subcarriers: int) -> ChannelRealization:
-    """DFT the taps into per-subcarrier channel matrices.
+def to_subcarriers(taps: np.ndarray, n_subcarriers: int) -> np.ndarray:
+    """DFT taps (..., n_taps, n_r, n_t) into per-subcarrier channel
+    matrices (..., n_subcarriers, n_r, n_t); leading axes are trials.
 
     Subcarrier ``k`` gets ``sum_l taps[l] * exp(-2j*pi*k*l/N)``, the
     frequency response a cyclic-prefix OFDM system sees on that bin.
     Requires ``n_subcarriers >= n_taps`` so the cyclic prefix assumption
     makes sense.
     """
-    if n_subcarriers < taps.n_taps:
+    taps = np.asarray(taps)
+    if taps.ndim < 3:
+        raise ShapeMismatchError(f"taps must be (..., n_taps, n_r, n_t), "
+                                 f"got shape {taps.shape}")
+    if n_subcarriers < taps.shape[-3]:
         raise InvalidLengthError(
-            f"n_subcarriers={n_subcarriers} is less than n_taps={taps.n_taps}"
+            f"n_subcarriers={n_subcarriers} is less than "
+            f"n_taps={taps.shape[-3]}"
         )
-    h = np.fft.fft(taps.taps, n=n_subcarriers, axis=0)
-    return ChannelRealization(h, n_subcarriers, taps)
+    return np.fft.fft(taps, n=n_subcarriers, axis=-3)
 
 
 def make_phase_shift_training(n_t: int, n_pilots: int) -> TrainingSequence:

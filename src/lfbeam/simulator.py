@@ -6,11 +6,17 @@ receiver's channel knowledge (dominant eigenvector, or the best
 codeword of a random codebook when feedback is limited to B bits),
 combine with MRC, and count bit errors on one OFDM data symbol.
 
-Power bookkeeping: noise is unit variance per receive antenna and each
-subcarrier's beam carries power ``rho = 10**(snr_db/10)``, so
-``snr_db`` is the per-subcarrier transmit SNR and the post-combining
-SNR on subcarrier k is ``rho * ||H_k b_k||^2`` for a unit direction
-``b_k``.
+Power bookkeeping: noise ``n_k`` is unit variance per receive antenna
+and each subcarrier's beam carries power ``rho = 10**(snr_db/10)``, so
+``snr_db`` is the per-subcarrier transmit SNR.  With a unit direction
+``b_k`` and the unit MRC combiner ``a_k`` the receiver picks from its
+channel knowledge, the detector sees ``sqrt(rho) * g_k * x_k + z_k``:
+the effective gain ``g_k = a_k^H H_k b_k`` of the true channel and the
+combined noise ``z_k = a_k^H n_k``, unit variance.  The post-combining
+SNR on subcarrier k is ``rho * |g_k|^2``, which is ``rho * ||H_k b_k||^2``
+under perfect CSI.  ``g`` and ``z`` do not depend on ``rho``, so they
+are computed once per block, or once per SNR point when the pilot
+power follows the SNR.
 
 Reproducibility: trials come in fixed batches of 256, and batch ``b``
 (trials ``256*b`` to ``256*b + 255``) draws from one stream,
@@ -35,26 +41,25 @@ import multiprocessing
 import numbers
 import os
 from dataclasses import asdict, dataclass, replace
-from typing import Callable, NamedTuple
+from typing import Callable
 
 import numpy as np
 
-from .channel import _complex_normal, ls_estimate, make_phase_shift_training
+from .channel import (
+    _complex_normal, ls_estimate, make_phase_shift_training, to_subcarriers,
+)
 from .codebook import _GAIN_BUDGET, Codebook, _best_codewords, gen_rvq
 from .numerics import dominant_right_eigvec_batch
-from .beamforming import apply_power_constraint
+from .beamforming import apply_power_constraint  # noqa: F401 (perfbench traces it here)
 
 __all__ = [
     "ConfigError",
     "OddBitCountError",
     "SimConfig",
-    "TrialResult",
     "BerPoint",
     "BerCurve",
     "modulate",
     "demodulate",
-    "awgn",
-    "run_trial",
     "run_sweep",
     "run_sweeps",
     "trial_effective_gains",
@@ -214,18 +219,18 @@ class SimConfig:
         if "snr_db_points" in kwargs:
             try:
                 kwargs["snr_db_points"] = tuple(
-                    float(s) for s in kwargs["snr_db_points"]
+                    _as_float("snr_db_points entry", s)
+                    for s in kwargs["snr_db_points"]
                 )
-            except (TypeError, ValueError) as e:
+            except TypeError as e:
                 raise ConfigError(f"bad snr_db_points: {e}") from e
         for key in _INT_FIELDS:
             if key in kwargs:
                 kwargs[key] = _as_int(key, kwargs[key])
-        if kwargs.get("pilot_snr_db") is not None and "pilot_snr_db" in kwargs:
-            try:
-                kwargs["pilot_snr_db"] = float(kwargs["pilot_snr_db"])
-            except (TypeError, ValueError) as e:
-                raise ConfigError(f"bad pilot_snr_db: {e}") from e
+        if kwargs.get("pilot_snr_db") is not None:
+            kwargs["pilot_snr_db"] = _as_float(
+                "pilot_snr_db", kwargs["pilot_snr_db"]
+            )
         cfg = cls(**kwargs)
         cfg.validate()
         return cfg
@@ -244,17 +249,22 @@ def _as_int(key: str, value) -> int:
         raise ConfigError(f"bad {key}: {e}") from e
 
 
+def _as_float(key: str, value) -> float:
+    """``value`` as a float; booleans and strings are errors rather than
+    being read as 0/1 or parsed."""
+    if isinstance(value, (bool, str)):
+        raise ConfigError(f"{key} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except (TypeError, ValueError) as e:
+        raise ConfigError(f"bad {key}: {e}") from e
+
+
 def _parse_feedback_bits(value) -> int | None:
     """Accept 'perfect'/None for unquantized CSI or an integer bit count."""
     if value is None or value == "perfect":
         return None
     return _as_int("feedback_bits", value)
-
-
-class TrialResult(NamedTuple):
-    bits_sent: int
-    bit_errors: int
-    null_skips: int
 
 
 @dataclass(frozen=True)
@@ -330,22 +340,6 @@ def demodulate(symbols: np.ndarray, scheme: str) -> np.ndarray:
     raise ValueError(f"unknown modulation {scheme!r}")
 
 
-def awgn(
-    symbols: np.ndarray, noise_var: float, rng: np.random.Generator
-) -> np.ndarray:
-    """Add circularly-symmetric complex Gaussian noise of total variance
-    ``noise_var`` per symbol.  ``noise_var == 0`` returns the input
-    unchanged (and draws nothing from ``rng``)."""
-    if noise_var < 0.0:
-        raise ValueError(f"noise_var must be >= 0, got {noise_var}")
-    symbols = np.asarray(symbols, dtype=np.complex128)
-    if noise_var == 0.0:
-        return symbols.copy()
-    return symbols + _complex_normal(
-        rng, symbols.shape, np.sqrt(noise_var / 2.0)
-    )
-
-
 def _fixed_codebook(config: SimConfig) -> Codebook | None:
     """The shared codebook used when ``fresh_codebook`` is off."""
     if config.feedback_bits is None or config.fresh_codebook:
@@ -384,8 +378,8 @@ def _draw_batch(config: SimConfig, batch: int):
 
 def _draw_block(config: SimConfig, start: int, count: int):
     """Random draws of trials [start, start+count): ``(bits, h, pilot,
-    noise)`` with the taps already transformed to the (T, N, n_r, n_t)
-    subcarrier channel ``h``.
+    noise)`` with the taps already transformed by :func:`to_subcarriers`
+    to the (T, N, n_r, n_t) subcarrier channel ``h``.
 
     Every batch the range touches is drawn whole (see the module
     docstring) and the range's rows are cut out, so a trial's draws
@@ -400,8 +394,7 @@ def _draw_block(config: SimConfig, start: int, count: int):
         None if parts[0] is None else np.concatenate(parts)[lo : lo + count]
         for parts in zip(*batches)
     )
-    h = np.fft.fft(taps, n=config.n_subcarriers, axis=1)
-    return bits, h, pilot, noise
+    return bits, to_subcarriers(taps, config.n_subcarriers), pilot, noise
 
 
 def _fresh_draws(config: SimConfig, start: int, count: int, bits: int):
@@ -482,17 +475,20 @@ def _receiver_links(
     snr_db: float,
     h: np.ndarray,
     pilot: np.ndarray | None,
+    noise: np.ndarray,
     start: int,
     fixed_cbs: list[Codebook | None],
 ):
-    """The receiver's side of the curves in ``running`` at one SNR point.
+    """The links of the curves in ``running`` at one SNR point.
 
     Returns ``(hr, links)``: the receiver's channel knowledge (the LS
     estimate under estimated CSI, else ``h``), shared by every curve,
-    and for each running curve ``c`` the triple ``links[c] = (beams,
-    comb, ok)``: the unit beam directions selected from ``hr``, the unit
-    MRC combiners, and the mask of subcarriers whose effective channel
-    ``hr_k b_k`` is nonzero.
+    and for each running curve ``c`` the tuple ``links[c] = (beams, g,
+    z, ok)``: the unit beam directions selected from ``hr``, the
+    effective gains ``a^H h b`` of the true channel ``h`` and the
+    combined data noise ``a^H noise`` under the unit MRC combiners ``a``
+    built from ``hr``, and the mask of subcarriers whose effective
+    channel ``hr_k b_k`` is nonzero (``g`` and ``z`` are 0 elsewhere).
     """
     config = configs[0]
     if config.csi_mode == "estimated":
@@ -508,13 +504,15 @@ def _receiver_links(
     beams = _beam_directions(configs, running, hr, start, fixed_cbs)
     links = {}
     for c in running:
-        # receiver-side combiner from its channel knowledge
+        # the combiner comes from the receiver's channel knowledge
         t_eff = np.einsum("tnij,tnj->tni", hr, beams[c])
         t_norm = np.sqrt((np.abs(t_eff) ** 2).sum(axis=2))
         ok = t_norm > 0.0
-        comb = t_eff / np.where(ok, t_norm, 1.0)[:, :, None]
+        comb = t_eff.conj() / np.where(ok, t_norm, 1.0)[:, :, None]
         comb[~ok] = 0.0
-        links[c] = beams[c], comb, ok
+        h_b = t_eff if hr is h else np.einsum("tnij,tnj->tni", h, beams[c])
+        g = np.einsum("tni,tni->tn", comb, h_b)
+        links[c] = beams[c], g, np.einsum("tni,tni->tn", comb, noise), ok
     return hr, links
 
 
@@ -530,11 +528,13 @@ def _run_block(
     ``configs`` are the curves of one link (they differ only in
     ``feedback_bits``), ``active`` masks the running (curve, SNR) pairs
     and ``fixed_cbs`` holds each curve's shared codebook.  The block is
-    drawn once, and the channel is estimated and beams are selected
-    once for all curves (per SNR point when the pilot power follows the
-    SNR).  Returns an int64 (curves, SNR points, 3) array of bits sent,
-    bit errors and null skips, zero where inactive.  All per-trial math
-    is elementwise over trials, so any partition of a trial range into
+    drawn once, and the channel is estimated, beams are selected and
+    each curve's effective gains and combined noise are computed once
+    for all curves (per SNR point when the pilot power follows the
+    SNR); each (curve, SNR) pair then detects ``sqrt(rho) * g * x + z``.
+    Returns an int64 (curves, SNR points, 3) array of bits sent, bit
+    errors and null skips, zero where inactive.  All per-trial math is
+    elementwise over trials, so any partition of a trial range into
     blocks gives identical totals.
     """
     config = configs[0]
@@ -553,19 +553,12 @@ def _run_block(
                 active[:, s] if per_snr else active.any(axis=1)
             ).tolist()
             _, links = _receiver_links(
-                configs, running, snr_db, h, pilot, start, fixed_cbs
+                configs, running, snr_db, h, pilot, noise, start, fixed_cbs
             )
-        rho = 10.0 ** (snr_db / 10.0)
+        amp = np.sqrt(10.0 ** (snr_db / 10.0))
         for c in np.flatnonzero(active[:, s]).tolist():
-            beams, comb, ok = links[c]
-            # uniform split of the block power budget: every row gets
-            # norm sqrt(rho), i.e. per-subcarrier power rho
-            scaled = apply_power_constraint(
-                beams.reshape(count * n, config.n_t), count * n * rho
-            ).reshape(count, n, config.n_t)
-            # transmit through the true channel
-            rx = np.einsum("tnij,tnj->tni", h, scaled) * x[:, :, None] + noise
-            x_hat = np.einsum("tni,tni->tn", comb.conj(), rx)
+            _, g, z, ok = links[c]
+            x_hat = amp * g * x + z
             rx_bits = demodulate(x_hat.reshape(-1), config.modulation).reshape(
                 count, n * bps
             )
@@ -574,45 +567,25 @@ def _run_block(
     return out
 
 
-def run_trial(config: SimConfig, snr_db: float, trial_index: int) -> TrialResult:
-    """Simulate a single trial; deterministic in (config, trial_index).
-
-    ``bits_sent`` excludes subcarriers skipped because the receiver's
-    effective channel ``H_k b_k`` was exactly zero; ``null_skips``
-    counts them.  The trial's draws come from its batch's streams, so
-    one call draws the whole 256-trial batch and uses one row of it;
-    with a fresh codebook that includes the codebooks of all 256
-    trials, so its cost grows with 256 * 2**B.
-    """
-    config.validate()
-    res = _run_block(
-        [replace(config, snr_db_points=(snr_db,))], np.ones((1, 1), bool),
-        trial_index, 1, [_fixed_codebook(config)],
-    )
-    return TrialResult(*res[0, 0].tolist())
-
-
 def trial_effective_gains(
     config: SimConfig, snr_db: float, trial_index: int
 ) -> dict:
     """Diagnostic view of one trial's beamformed link.
 
-    Returns a dict with the per-subcarrier complex direction gains
-    ``a^H H b`` (``gains``), the skip mask (``ok``), the true and
-    receiver-side channels, and the unit beam directions.  The
-    post-combining SNR on subcarrier k is ``rho * |gains[k]|^2``.  Like
-    :func:`run_trial`, one call draws the trial's whole batch, fresh
-    codebooks included, so its cost grows with 256 * 2**B.
+    Returns a dict with the per-subcarrier effective gains ``a^H H b``
+    that detection uses (``gains``), the skip mask (``ok``), the true
+    and receiver-side channels, and the unit beam directions.  The
+    post-combining SNR on subcarrier k is ``rho * |gains[k]|^2``.  One
+    call draws the trial's whole batch, fresh codebooks included, so its
+    cost grows with 256 * 2**B.
     """
     config.validate()
-    _, h, pilot, _ = _draw_block(config, trial_index, 1)
+    _, h, pilot, noise = _draw_block(config, trial_index, 1)
     hr, links = _receiver_links(
-        [config], [0], snr_db, h, pilot, trial_index, [_fixed_codebook(config)]
+        [config], [0], snr_db, h, pilot, noise, trial_index,
+        [_fixed_codebook(config)],
     )
-    beams, comb, ok = links[0]
-    gains = np.einsum(
-        "tni,tni->tn", comb.conj(), np.einsum("tnij,tnj->tni", h, beams)
-    )
+    beams, gains, _, ok = links[0]
     return {"gains": gains[0], "ok": ok[0], "channel": h[0],
             "rx_channel": hr[0], "beams": beams[0]}
 

@@ -237,12 +237,12 @@ def test_criterion_7_ofdm_subcarrier_equivalence():
     worst = 0.0
     for _ in range(1000):
         taps = gen_selective_taps(2, 2, 4, rng)
-        re = to_subcarriers(taps, n)
+        h = to_subcarriers(taps, n)
         s = rng.standard_normal((2, n)) + 1j * rng.standard_normal((2, n))
         y_freq = np.fft.fft(
-            circular_convolve_mimo(np.fft.ifft(s, axis=1), taps.taps), axis=1
+            circular_convolve_mimo(np.fft.ifft(s, axis=1), taps), axis=1
         )
-        direct = np.einsum("krc,ck->rk", re.per_subcarrier, s)
+        direct = np.einsum("krc,ck->rk", h, s)
         worst = max(worst, np.abs(direct - y_freq).max())
     assert worst <= 1e-10, worst
     print(f"[PASS] criterion 7: max abs deviation {worst:.2e} (<=1e-10)")

@@ -4,75 +4,84 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lfbeam.beamforming import (
-    NullEffectiveChannelError,
     SingularStackError,
     apply_power_constraint,
-    effective_scalar_channel,
-    mrc_pair,
-    mrc_receive,
     zfbf_precoders,
     zfbf_sinr,
 )
-from oracles import top_sv_direction
+from lfbeam.numerics import dominant_right_eigvec_batch
+from lfbeam.simulator import SimConfig, _receiver_links, trial_effective_gains
 
 
 def random_complex(rng, shape):
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
-# -------------------------------------------------------------- mrc_receive
+# ------------------------------------------- MRC in the simulator's links
+
+
+def perfect_link(h, noise=None):
+    """The simulator's perfect-CSI link on one subcarrier of channel
+    ``h``: its beam, effective gain, combined noise and skip flag."""
+    h = np.asarray(h, dtype=complex)[None, None]
+    if noise is None:
+        noise = np.zeros(h.shape[:3], dtype=complex)
+    cfg = SimConfig(n_r=h.shape[2], n_t=h.shape[3])
+    _, links = _receiver_links([cfg], [0], 0.0, h, None, noise, 0, [None])
+    return [part[0, 0] for part in links[0]]
+
+
+QPSK22 = SimConfig(n_r=2, modulation="qpsk")
 
 
 def test_mrc_identity_channel():
-    a = mrc_receive(np.eye(2, dtype=complex), np.array([1.0, 0.0]))
-    assert np.allclose(a, [1.0, 0.0], atol=1e-15)
+    noise = np.array([[[0.5 - 1j, 2j]]])
+    beam, g, z, ok = perfect_link(np.eye(2), noise)
+    assert np.array_equal(beam, [1.0, 0.0])
+    assert g == 1.0 and z == 0.5 - 1j and ok
 
 
 def test_mrc_diag_channel_gain():
-    h = np.diag([3.0 + 0j, 4.0 + 0j])
-    pair = mrc_pair(h, np.array([0.0, 1.0], dtype=complex))
-    assert np.allclose(pair.receive, [0.0, 1.0], atol=1e-15)
-    assert abs(pair.gain - 16.0) <= 1e-12
+    beam, g, _, ok = perfect_link(np.diag([3.0, 4.0]))
+    assert np.allclose(beam, [0.0, 1.0], atol=1e-15)
+    assert abs(abs(g) ** 2 - 16.0) <= 1e-12 and ok
 
 
-def test_mrc_output_is_unit_and_aligned(rng):
-    for _ in range(25):
-        h = random_complex(rng, (3, 2))
-        b = random_complex(rng, 2)
-        a = mrc_receive(h, b)
-        assert abs(np.linalg.norm(a) - 1.0) <= 1e-12
-        g = effective_scalar_channel(h, b, a)
-        # matched combining makes the scalar channel real positive
-        assert g.imag <= 1e-12 * abs(g)
-        assert g.real > 0.0
+def test_mrc_null_channel_is_skipped():
+    _, g, z, ok = perfect_link(np.zeros((2, 2)), np.ones((1, 1, 2)))
+    assert g == 0.0 and z == 0.0 and not ok
+
+
+def test_mrc_output_is_unit_and_aligned():
+    """On 2x2 QPSK with perfect CSI the gains detection uses are real,
+    nonnegative and equal to ||H_k b_k||: a unit combiner aligned with
+    the effective channel."""
+    for idx in (0, 300):
+        d = trial_effective_gains(QPSK22, 6.0, idx)
+        g = d["gains"]
+        h_b = np.einsum("nij,nj->ni", d["channel"], d["beams"])
+        assert (np.abs(g.imag) <= 1e-12 * np.abs(g)).all()
+        assert (g.real >= 0.0).all() and d["ok"].all()
+        assert np.allclose(g.real, np.linalg.norm(h_b, axis=1), rtol=1e-12)
 
 
 def test_mrc_beats_random_combiners(rng):
-    h = random_complex(rng, (3, 2))
-    b = random_complex(rng, 2)
-    a = mrc_receive(h, b)
-    best = abs(effective_scalar_channel(h, b, a)) ** 2
-    for _ in range(1000):
-        w = random_complex(rng, 3)
-        w /= np.linalg.norm(w)
-        other = abs(effective_scalar_channel(h, b, w)) ** 2
-        assert other <= best * (1.0 + 1e-9)
+    d = trial_effective_gains(QPSK22, 6.0, 7)
+    h_b = np.einsum("nij,nj->ni", d["channel"], d["beams"])
+    best = np.abs(d["gains"]) ** 2
+    w = random_complex(rng, (1000, 1, 2))
+    w /= np.linalg.norm(w, axis=2, keepdims=True)
+    other = np.abs(np.einsum("cni,ni->cn", w.conj(), h_b)) ** 2
+    assert (other <= best * (1.0 + 1e-9)).all()
 
 
-def test_mrc_with_dominant_beam_hits_top_eigenvalue(rng):
-    """b = dominant right direction makes |a^H H b|^2 the top eigenvalue
-    of H^H H."""
-    for _ in range(20):
-        h = random_complex(rng, (2, 2))
-        lam, v = top_sv_direction(h)
-        a = mrc_receive(h, v)
-        g = effective_scalar_channel(h, v, a)
-        assert abs(abs(g) ** 2 - lam) <= 1e-9 * max(1.0, lam)
-
-
-def test_mrc_null_channel_raises():
-    with pytest.raises(NullEffectiveChannelError):
-        mrc_receive(np.zeros((2, 2), dtype=complex), np.array([1.0, 0.0]))
+def test_mrc_with_dominant_beam_hits_top_eigenvalue():
+    """The perfect-CSI beam makes |a^H H b|^2 the top eigenvalue of
+    H^H H, as ``dominant_right_eigvec_batch`` reports it."""
+    for idx in (0, 300):
+        d = trial_effective_gains(QPSK22, 6.0, idx)
+        _, lam = dominant_right_eigvec_batch(d["channel"])
+        assert np.allclose(np.abs(d["gains"]) ** 2, lam, rtol=1e-10, atol=0)
 
 
 # --------------------------------------------------- apply_power_constraint
@@ -221,24 +230,3 @@ def test_sinr_argument_validation():
         zfbf_sinr(h, p, 2, 1.0)
     with pytest.raises(ValueError):
         zfbf_sinr(h, p, 0, -1.0)
-
-
-# ------------------------------------------------ effective_scalar_channel
-
-
-def test_effective_scalar_identity():
-    h = np.eye(2, dtype=complex)
-    g = effective_scalar_channel(h, np.array([1.0, 0.0]), np.array([1.0, 0.0]))
-    assert abs(g - 1.0) <= 1e-15
-
-
-def test_effective_scalar_bound(rng):
-    for _ in range(25):
-        h = random_complex(rng, (2, 2))
-        lam, _ = top_sv_direction(h)
-        b = random_complex(rng, 2)
-        b /= np.linalg.norm(b)
-        a = random_complex(rng, 2)
-        a /= np.linalg.norm(a)
-        g = effective_scalar_channel(h, b, a)
-        assert abs(g) ** 2 <= lam * (1.0 + 1e-9)

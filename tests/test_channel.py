@@ -4,7 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lfbeam.channel import (
-    ChannelTaps,
     InvalidLengthError,
     ShapeMismatchError,
     TrainingSequence,
@@ -51,9 +50,9 @@ def test_flat_real_imag_balance():
 
 def test_single_tap_reduces_to_flat_statistics():
     taps = gen_selective_taps(2, 2, 1, np.random.default_rng(3))
-    assert taps.n_taps == 1
+    assert taps.shape == (1, 2, 2)
     flat = gen_rayleigh_flat(2, 2, np.random.default_rng(3))
-    assert np.array_equal(taps.taps[0], flat)
+    assert np.array_equal(taps[0], flat)
 
 
 def test_tap_power_sums_to_one():
@@ -61,7 +60,7 @@ def test_tap_power_sums_to_one():
     total = np.empty(100_000)
     for i in range(total.shape[0]):
         t = gen_selective_taps(1, 1, 4, rng)
-        total[i] = (np.abs(t.taps) ** 2).sum()
+        total[i] = (np.abs(t) ** 2).sum()
     mean = total.mean()
     assert 0.95 <= mean <= 1.05, mean
 
@@ -69,14 +68,14 @@ def test_tap_power_sums_to_one():
 def test_taps_same_seed_identical():
     a = gen_selective_taps(2, 2, 4, np.random.default_rng(7))
     b = gen_selective_taps(2, 2, 4, np.random.default_rng(7))
-    assert np.array_equal(a.taps, b.taps)
+    assert np.array_equal(a, b)
 
 
 def test_taps_validation():
     with pytest.raises(InvalidLengthError):
         gen_selective_taps(1, 1, 0, np.random.default_rng(0))
     with pytest.raises(ShapeMismatchError):
-        ChannelTaps(np.ones((2, 2), dtype=complex))
+        to_subcarriers(np.ones((2, 2), dtype=complex), 4)
 
 
 # ----------------------------------------------------------- to_subcarriers
@@ -84,19 +83,18 @@ def test_taps_validation():
 
 def test_single_tap_gives_flat_subcarriers():
     taps = gen_selective_taps(2, 2, 1, np.random.default_rng(8))
-    re = to_subcarriers(taps, 16)
-    assert re.per_subcarrier.shape == (16, 2, 2)
+    h = to_subcarriers(taps, 16)
+    assert h.shape == (16, 2, 2)
     for k in range(16):
-        assert np.allclose(re.per_subcarrier[k], taps.taps[0], atol=1e-12)
+        assert np.allclose(h[k], taps[0], atol=1e-12)
 
 
 def test_two_equal_taps_null_mid_band():
     """Taps [g, g] cancel at the half-rate subcarrier for even N."""
     g = np.array([[1.0 + 2.0j]])
-    taps = ChannelTaps(np.stack([g, g]))
-    re = to_subcarriers(taps, 8)
-    assert abs(re.per_subcarrier[4, 0, 0]) <= 1e-12
-    assert abs(re.per_subcarrier[0, 0, 0] - 2.0 * g[0, 0]) <= 1e-12
+    h = to_subcarriers(np.stack([g, g]), 8)
+    assert abs(h[4, 0, 0]) <= 1e-12
+    assert abs(h[0, 0, 0] - 2.0 * g[0, 0]) <= 1e-12
 
 
 def test_subcarrier_view_matches_circular_convolution():
@@ -109,21 +107,20 @@ def test_subcarrier_view_matches_circular_convolution():
     rng = np.random.default_rng(21)
     n = 16
     taps = gen_selective_taps(2, 2, 4, rng)
-    re = to_subcarriers(taps, n)
+    h = to_subcarriers(taps, n)
     s_freq = rng.standard_normal((2, n)) + 1j * rng.standard_normal((2, n))
     x_time = np.fft.ifft(s_freq, axis=1)
-    y_time = circular_convolve_mimo(x_time, taps.taps)
+    y_time = circular_convolve_mimo(x_time, taps)
     y_freq = np.fft.fft(y_time, axis=1)
     for k in range(n):
-        direct = re.per_subcarrier[k] @ s_freq[:, k]
+        direct = h[k] @ s_freq[:, k]
         assert np.allclose(direct, y_freq[:, k], atol=1e-10)
 
 
 def test_subcarrier_parseval():
     taps = gen_selective_taps(3, 2, 4, np.random.default_rng(13))
-    re = to_subcarriers(taps, 64)
-    lhs = (np.abs(re.per_subcarrier) ** 2).sum()
-    rhs = 64.0 * (np.abs(taps.taps) ** 2).sum()
+    lhs = (np.abs(to_subcarriers(taps, 64)) ** 2).sum()
+    rhs = 64.0 * (np.abs(taps) ** 2).sum()
     assert abs(lhs - rhs) <= 1e-9 * rhs
 
 
@@ -140,13 +137,20 @@ def test_subcarrier_map_is_linear(seed):
     t1 = gen_selective_taps(1, 2, 3, rng)
     t2 = gen_selective_taps(1, 2, 3, rng)
     c = complex(rng.standard_normal(), rng.standard_normal())
-    combo = ChannelTaps(t1.taps + c * t2.taps)
-    lhs = to_subcarriers(combo, 8).per_subcarrier
-    rhs = (
-        to_subcarriers(t1, 8).per_subcarrier
-        + c * to_subcarriers(t2, 8).per_subcarrier
-    )
+    lhs = to_subcarriers(t1 + c * t2, 8)
+    rhs = to_subcarriers(t1, 8) + c * to_subcarriers(t2, 8)
     assert np.allclose(lhs, rhs, atol=1e-12)
+
+
+def test_stacked_taps_match_one_call_per_trial():
+    """A (T, L, n_r, n_t) stack, as the simulator draws it, gives each
+    trial exactly the subcarriers of its own call."""
+    rng = np.random.default_rng(17)
+    taps = np.stack([gen_selective_taps(2, 3, 4, rng) for _ in range(5)])
+    h = to_subcarriers(taps, 16)
+    assert h.shape == (5, 16, 2, 3)
+    for t in range(5):
+        assert np.array_equal(h[t], to_subcarriers(taps[t], 16))
 
 
 # ----------------------------------------------------------------- training

@@ -20,13 +20,12 @@ from lfbeam.simulator import (
     TRIALS_PER_BATCH,
     _draw_block,
     _fixed_codebook,
+    _receiver_links,
     _run_block,
-    awgn,
     demodulate,
     modulate,
     run_sweep,
     run_sweeps,
-    run_trial,
     snr_at_ber,
     trial_effective_gains,
 )
@@ -81,47 +80,45 @@ def test_unknown_scheme_raises():
         demodulate(np.array([1.0 + 0j]), "8psk")
 
 
-# ---------------------------------------------------------------------- awgn
-
-
-def test_awgn_zero_variance_is_identity(rng):
-    x = modulate(rng.integers(0, 2, 64), "bpsk")
-    y = awgn(x, 0.0, rng)
-    assert np.array_equal(x, y)
+# --------------------------------------------------------- combined noise
 
 
 def test_awgn_statistics():
-    rng = np.random.default_rng(404)
-    x = np.zeros(1_000_000, dtype=complex)
-    y = awgn(x, 2.5, rng)
-    var = (np.abs(y) ** 2).mean()
-    assert abs(var - 2.5) <= 0.02 * 2.5
-    # circular symmetry: real/imag split evenly and uncorrelated
-    assert abs(y.real.var() - 1.25) <= 0.05
-    assert abs((y.real * y.imag).mean()) <= 0.01
+    """The data noise a unit combiner passes, ``z = a^H n``, is unit
+    variance and circularly symmetric on a 2x2 link."""
+    cfg = SimConfig(n_r=2, n_subcarriers=1024)
+    _, h, _, noise = _draw_block(cfg, 0, TRIALS_PER_BATCH)
+    _, links = _receiver_links([cfg], [0], 0.0, h, None, noise, 0, [None])
+    z = links[0][2]
+    assert abs((np.abs(z) ** 2).mean() - 1.0) <= 0.02
+    assert abs(z.real.var() - 0.5) <= 0.01
+    assert abs((z.real * z.imag).mean()) <= 0.01
 
 
-def test_awgn_rejects_negative_variance(rng):
-    with pytest.raises(ValueError):
-        awgn(np.zeros(4, dtype=complex), -1.0, rng)
+# ------------------------------------------------------- one-trial blocks
 
 
-# --------------------------------------------------------------- run_trial
+def one_trial(config, snr_db, trial_index):
+    """(bits sent, bit errors, null skips) of one trial at one SNR
+    point: a block of one trial."""
+    block = _run_block(
+        [replace(config, snr_db_points=(snr_db,))], np.ones((1, 1), bool),
+        trial_index, 1, [_fixed_codebook(config)],
+    )
+    return tuple(block[0, 0].tolist())
 
 
 def test_trial_is_deterministic():
     cfg = SimConfig(**FAST)
-    a = run_trial(cfg, 6.0, 17)
-    b = run_trial(cfg, 6.0, 17)
-    assert a == b
+    assert one_trial(cfg, 6.0, 17) == one_trial(cfg, 6.0, 17)
 
 
 def test_trial_counts_are_consistent():
     cfg = SimConfig(**FAST)
-    r = run_trial(cfg, 0.0, 2)
-    assert r.bits_sent == cfg.n_subcarriers * cfg.bits_per_symbol
-    assert 0 <= r.bit_errors <= r.bits_sent
-    assert r.null_skips == 0
+    bits_sent, bit_errors, null_skips = one_trial(cfg, 0.0, 2)
+    assert bits_sent == cfg.n_subcarriers * cfg.bits_per_symbol
+    assert 0 <= bit_errors <= bits_sent
+    assert null_skips == 0
 
 
 def test_blocks_partition_invariant(monkeypatch):
@@ -158,12 +155,12 @@ def test_blocks_partition_invariant(monkeypatch):
         assert np.array_equal(runs[0][1], runs[1][1])
 
 
-def test_block_of_one_equals_run_trial():
+def test_block_of_one_scores_only_active_pairs():
     cfg = SimConfig(feedback_bits=2, **FAST)
     active = np.array([[False, True]])  # only the 6 dB point
     for idx in (0, 9):
         block = _run_block([cfg], active, idx, 1, [None])
-        assert tuple(run_trial(cfg, 6.0, idx)) == tuple(block[0, 1])
+        assert tuple(block[0, 1]) == one_trial(cfg, 6.0, idx)
         assert not block[0, 0].any()
 
 
@@ -171,7 +168,7 @@ def test_noiseless_trials_have_zero_errors():
     for kw in (dict(), dict(feedback_bits=3), dict(modulation="qpsk", n_r=2)):
         cfg = SimConfig(**FAST, **kw)
         for idx in range(6):
-            assert run_trial(cfg, 300.0, idx).bit_errors == 0
+            assert one_trial(cfg, 300.0, idx)[1] == 0
 
 
 def _replay_batch(cfg, batch):
@@ -236,10 +233,8 @@ def test_draw_order_is_documented_order():
     d = trial_effective_gains(cfg, 6.0, 256 + 21)
     assert np.array_equal(d["channel"], replay[1][21])
     assert _are_codewords(d["beams"], books[:, 21])
-    _, h, pilot, _ = _draw_block(cfg, 500, 30)
-    _, links = lfbeam.simulator._receiver_links(
-        [cfg], [0], 6.0, h, pilot, 500, [None]
-    )
+    _, h, pilot, noise = _draw_block(cfg, 500, 30)
+    _, links = _receiver_links([cfg], [0], 6.0, h, pilot, noise, 500, [None])
     for r, beams in enumerate(links[0][0]):
         assert _are_codewords(beams, books[:, 500 - 256 + r])
 
@@ -302,12 +297,10 @@ def test_estimated_error_shrinks_with_pilot_power():
 
 def test_fixed_codebook_mode_shares_one_codebook():
     cfg = SimConfig(feedback_bits=3, fresh_codebook=False, **FAST)
-    a = run_trial(cfg, 6.0, 0)
-    b = run_trial(cfg, 6.0, 0)
-    assert a == b
+    assert one_trial(cfg, 6.0, 0) == one_trial(cfg, 6.0, 0)
     fresh = SimConfig(feedback_bits=3, fresh_codebook=True, **FAST)
     diffs = sum(
-        run_trial(cfg, 6.0, i) != run_trial(fresh, 6.0, i) for i in range(40)
+        one_trial(cfg, 6.0, i) != one_trial(fresh, 6.0, i) for i in range(40)
     )
     assert diffs > 0  # the two modes really simulate different links
 
@@ -371,6 +364,33 @@ def test_mimo22_counts_are_pinned(monkeypatch):
         [(32768, 1646, 0), (98304, 922, 0)],
         [(32768, 1586, 0), (98304, 904, 0)],
     ]
+
+
+@pytest.mark.parametrize("link, curves, pinned", [
+    (dict(), [None, 1, 8], [
+        [(16384, 903, 0), (49152, 898, 0)],
+        [(16384, 1545, 0), (16384, 602, 0)],
+        [(16384, 910, 0), (49152, 797, 0)],
+    ]),
+    (dict(csi_mode="estimated", fresh_codebook=False, snr_db_points=(0.0, 8.0)),
+     [None, 6], [
+        [(16384, 1843, 0), (81920, 678, 0)],
+        [(16384, 1802, 0), (81920, 657, 0)],
+    ]),
+], ids=["miso", "estimated-fixed-b6"])
+def test_link_counts_are_pinned(link, curves, pinned):
+    """Short 2x1 BPSK sweeps, with fresh codebooks under perfect CSI and
+    with one fixed B=6 codebook under estimated CSI, give the counts
+    they gave when detection scaled each pair's beams and sent them
+    through the channel, before it read the per-curve effective gains."""
+    base = dict(snr_db_points=(0.0, 4.0), target_errors=600,
+                max_bits=200_000, master_seed=5)
+    cfg = SimConfig(**{**base, **link})
+    counts = [
+        [(p.bits_sent, p.bit_errors, p.null_skips) for p in curve.points]
+        for curve in run_sweeps(cfg, curves)
+    ]
+    assert counts == pinned
 
 
 def test_fresh_curves_share_one_codebook_per_trial(monkeypatch):
@@ -646,6 +666,13 @@ def test_config_validation_rejects(bad):
     {"n_t": "2.7"},
     {"target_errors": True},
     {"feedback_bits": True},
+    # booleans and strings are not read as SNR values in dB
+    {"pilot_snr_db": True},
+    {"pilot_snr_db": "12"},
+    {"snr_db_points": [False, True]},
+    {"snr_db_points": "05"},
+    {"snr_db_points": [0, "4"]},
+    {"snr_db_points": 4},
 ])
 def test_config_from_dict_rejects(bad):
     with pytest.raises(ConfigError):
