@@ -10,11 +10,11 @@ built as the command line builds them, every (curve, SNR) pair running,
 and these stages are timed on the blocks of batches 1 to 4 (trials
 256 to 1279) at master seed 1, best of 8 rounds:
 
-- ``draw``: ``_draw_block`` (bits, taps, pilot and data noise, FFT);
+- ``draw``: ``_draw_batch`` (bits, taps, pilot and data noise, FFT);
 - ``receiver``: ``_receiver_links``, once per block or per SNR point
   when the pilot power follows the SNR (LS estimate, beam selection for
-  every curve, combiners, each curve's effective gains ``g`` and
-  combined noise ``z``);
+  every curve, fixed codebooks made, combiners, each curve's effective
+  gains ``g`` and combined noise ``z``);
 - ``detect``: the rest of ``_run_block`` for all pairs, with the draws
   and the receiver side of the block given (``sqrt(rho) * g * x + z``,
   hard decisions and error counts);
@@ -56,18 +56,18 @@ BLOCKS = 4  # the blocks of batches 1 to BLOCKS are timed
 REPEATS = 8  # rounds; each stage's best round is kept
 
 
-def best_ms(fn, starts):
-    """Best over ``REPEATS`` rounds of the mean time of ``fn(start)``."""
+def best_ms(fn, batches):
+    """Best over ``REPEATS`` rounds of the mean time of ``fn(batch)``."""
     best = float("inf")
     for _ in range(REPEATS):
         t0 = time.perf_counter()
-        for start in starts:
-            fn(start)
-        best = min(best, (time.perf_counter() - t0) / len(starts))
+        for batch in batches:
+            fn(batch)
+        best = min(best, (time.perf_counter() - t0) / len(batches))
     return best * 1e3
 
 
-def receiver_side(configs, active, start, h, pilot, noise, fixed_cbs):
+def receiver_side(configs, active, batch, h, pilot, noise):
     """``_receiver_links`` as ``_run_block`` calls it, per SNR point."""
     config = configs[0]
     per_snr = config.csi_mode == "estimated" and config.pilot_snr_db is None
@@ -76,7 +76,7 @@ def receiver_side(configs, active, start, h, pilot, noise, fixed_cbs):
         if not links or per_snr:
             running = np.flatnonzero(active.any(axis=1)).tolist()
             last = sim._receiver_links(
-                configs, running, snr_db, h, pilot, noise, start, fixed_cbs
+                configs, running, snr_db, h, pilot, noise, batch
             )
         links[snr_db] = last
     return links
@@ -95,44 +95,40 @@ def bench(wl):
         preset=wl.preset, overrides=wl.config_overrides(SEED)
     )
     configs = [replace(config, feedback_bits=bits) for bits in curves]
-    fixed_cbs = [sim._fixed_codebook(cfg) for cfg in configs]
     active = np.ones((len(configs), len(config.snr_db_points)), dtype=bool)
-    t = sim.TRIALS_PER_BATCH
-    starts = [t * b for b in range(1, BLOCKS + 1)]
+    batches = range(1, BLOCKS + 1)
 
-    def draw(start):
-        return sim._draw_block(config, start, t)
+    def draw(batch):
+        return sim._draw_batch(config, batch)
 
-    def receiver(start):
-        _, h, pilot, noise = draws[start]
-        return receiver_side(
-            configs, active, start, h, pilot, noise, fixed_cbs
-        )
+    def receiver(batch):
+        _, h, pilot, noise = draws[batch]
+        return receiver_side(configs, active, batch, h, pilot, noise)
 
-    def block(start):
-        return sim._run_block(configs, active, start, t, fixed_cbs)
+    def block(batch):
+        return sim._run_block(configs, active, batch)
 
     out = {"pairs": int(active.sum())}
-    draws = {start: draw(start) for start in starts}
-    out["draw_ms"] = best_ms(draw, starts)
-    links = {start: receiver(start) for start in starts}
-    out["receiver_ms"] = best_ms(receiver, starts)
+    draws = {batch: draw(batch) for batch in batches}
+    out["draw_ms"] = best_ms(draw, batches)
+    links = {batch: receiver(batch) for batch in batches}
+    out["receiver_ms"] = best_ms(receiver, batches)
     # detection alone: _run_block with its draws and receiver side given
-    saved = sim._draw_block, sim._receiver_links
+    saved = sim._draw_batch, sim._receiver_links
     try:
-        sim._draw_block = lambda cfg, start, count: draws[start]
+        sim._draw_batch = lambda cfg, batch: draws[batch]
         sim._receiver_links = (
-            lambda cfgs, running, snr_db, h, pilot, noise, start, cbs:
-            links[start][snr_db]
+            lambda cfgs, running, snr_db, h, pilot, noise, batch:
+            links[batch][snr_db]
         )
-        out["detect_ms"] = best_ms(block, starts)
+        out["detect_ms"] = best_ms(block, batches)
     finally:
-        sim._draw_block, sim._receiver_links = saved
-    block(starts[0])  # settle the heap before counting faults
+        sim._draw_batch, sim._receiver_links = saved
+    block(batches[0])  # settle the heap before counting faults
     faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-    out["block_ms"] = best_ms(block, starts)
+    out["block_ms"] = best_ms(block, batches)
     faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
-    out["minflt_per_block"] = faults / (len(starts) * REPEATS)
+    out["minflt_per_block"] = faults / (len(batches) * REPEATS)
     return out
 
 

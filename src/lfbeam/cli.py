@@ -65,7 +65,14 @@ def _parse_curve_list(raw) -> list[int | None]:
 
 
 def _parse_bits_flag(text: str) -> list[int | None]:
-    return _parse_curve_list([tok.strip() for tok in text.split(",") if tok.strip()])
+    """``--feedback-bits``: comma-separated ``perfect`` or integers."""
+    out = []
+    for tok in filter(None, map(str.strip, text.split(","))):
+        try:
+            out.append(None if tok == "perfect" else int(tok))
+        except ValueError as e:
+            raise ConfigError(f"bad --feedback-bits entry {tok!r}") from e
+    return _parse_curve_list(out)
 
 
 def _parse_snr_flag(text: str) -> tuple[float, ...]:

@@ -29,9 +29,12 @@ the batch, ``SeedSequence([master_seed, b, 1])``, codeword-major: the
 curves share each trial's codebook, each searching its own prefix.  One
 loop over whole batches serves every SNR point and curve: each batch
 is drawn once and scored for every (curve, SNR) pair still running,
-and each pair stops on its own rule.  Draws depend on neither the pair
-nor the worker count, so sweeps share common random numbers across SNR
-points and curves, and results are bit-identical for any worker count.
+and each pair stops on its own rule.  A block is one batch and depends
+on the curves' configs, the running pairs and the batch index alone; it
+makes the fixed codebooks from the configs.  Draws depend on neither
+the pair nor the worker count, so sweeps share common random numbers
+across SNR points and curves, and results are bit-identical for any
+worker count.
 """
 
 from __future__ import annotations
@@ -237,9 +240,9 @@ class SimConfig:
 
 
 def _as_int(key: str, value) -> int:
-    """``value`` as an int; booleans and non-integral numbers are errors
-    rather than being read as 0/1 or truncated."""
-    if isinstance(value, bool) or (
+    """``value`` as an int; booleans, strings and non-integral numbers
+    are errors rather than being read as 0/1, parsed or truncated."""
+    if isinstance(value, (bool, str)) or (
         isinstance(value, float) and not value.is_integer()
     ):
         raise ConfigError(f"{key} must be an integer, got {value!r}")
@@ -353,9 +356,10 @@ def _fixed_codebook(config: SimConfig) -> Codebook | None:
 
 
 def _draw_batch(config: SimConfig, batch: int):
-    """Bits, taps, pilot noise (None under perfect CSI) and data noise
-    of all trials of batch ``batch``, drawn from its one stream in that
-    order, one call per array."""
+    """Bits, subcarrier channel ``h`` (:func:`to_subcarriers` of the
+    taps), pilot noise (None under perfect CSI) and data noise of the
+    trials of batch ``batch``, drawn from its one stream in the order
+    bits, taps, pilot noise, data noise, one call per array."""
     rng = np.random.default_rng(
         np.random.SeedSequence([int(config.master_seed), batch])
     )
@@ -373,46 +377,24 @@ def _draw_batch(config: SimConfig, batch: int):
         else None
     )
     noise = _complex_normal(rng, (t, n, config.n_r), np.sqrt(0.5))
-    return bits, taps, pilot, noise
+    return bits, to_subcarriers(taps, n), pilot, noise
 
 
-def _draw_block(config: SimConfig, start: int, count: int):
-    """Random draws of trials [start, start+count): ``(bits, h, pilot,
-    noise)`` with the taps already transformed by :func:`to_subcarriers`
-    to the (T, N, n_r, n_t) subcarrier channel ``h``.
-
-    Every batch the range touches is drawn whole (see the module
-    docstring) and the range's rows are cut out, so a trial's draws
-    depend only on the master seed and the trial index: not on the
-    block it is simulated in, the SNR point or the curve.
-    """
-    first = start // TRIALS_PER_BATCH
-    stop = -(-(start + count) // TRIALS_PER_BATCH)
-    batches = [_draw_batch(config, b) for b in range(first, stop)]
-    lo = start - first * TRIALS_PER_BATCH
-    bits, taps, pilot, noise = (
-        None if parts[0] is None else np.concatenate(parts)[lo : lo + count]
-        for parts in zip(*batches)
-    )
-    return bits, to_subcarriers(taps, config.n_subcarriers), pilot, noise
-
-
-def _fresh_draws(config: SimConfig, start: int, count: int, bits: int):
-    """The fresh codebooks of trials [start, start+count), as a chunk
+def _fresh_draws(config: SimConfig, batch: int, bits: int):
+    """The fresh codebooks of the trials of batch ``batch``, as a chunk
     source for :func:`_best_codewords`.
 
-    Batch ``b`` draws the 2**bits codewords of its 256 trials from a
-    stream of its own, ``SeedSequence([master_seed, b, 1])``,
+    The batch draws the 2**bits codewords of its 256 trials from a
+    stream of its own, ``SeedSequence([master_seed, batch, 1])``,
     codeword-major (codeword 0 of every trial first), each as n_t
     (re, im) pairs of standard normals scaled to unit length, ``w``
-    codewords at a time, yielded (count, w, n_t).  ``standard_normal``
+    codewords at a time, yielded (256, w, n_t).  ``standard_normal``
     gives the same numbers however a draw is split into calls, so
     codeword ``j`` of a trial depends on neither ``bits`` nor ``w``,
     and ``w`` bounds the memory up to 20 bits.
     """
-    t, seed = TRIALS_PER_BATCH, int(config.master_seed)
-    batches = range(start // t, -(-(start + count) // t))
-    rngs = [np.random.default_rng([seed, b, 1]) for b in batches]
+    t = TRIALS_PER_BATCH
+    rng = np.random.default_rng([int(config.master_seed), batch, 1])
     size = 1 << bits
     # a chunk's gains for one trial fit the gain budget, and its draws
     # for a whole batch take a quarter of it
@@ -420,12 +402,8 @@ def _fresh_draws(config: SimConfig, start: int, count: int, bits: int):
                       _GAIN_BUDGET // (8 * t * config.n_t)))
     for k in range(0, size, step):
         shape = (min(step, size - k), t, config.n_t, 2)
-        out = np.empty((count,) + shape[:1] + shape[2:])
-        for b, rng in zip(batches, rngs):
-            lo, hi = max(start, b * t), min(start + count, b * t + t)
-            out[lo - start : hi - start] = rng.standard_normal(shape)[
-                :, lo - b * t : hi - b * t
-            ].swapaxes(0, 1)
+        out = np.empty((t,) + shape[:1] + shape[2:])
+        out[...] = rng.standard_normal(shape).swapaxes(0, 1)
         out /= np.sqrt(np.einsum("twij,twij->tw", out, out))[..., None, None]
         yield out.view(np.complex128)[..., 0]
 
@@ -434,20 +412,20 @@ def _beam_directions(
     configs: list[SimConfig],
     running: list[int],
     hr: np.ndarray,
-    start: int,
-    fixed_cbs: list[Codebook | None],
+    batch: int,
 ) -> dict[int, np.ndarray]:
     """Unit transmit directions per trial and subcarrier from receiver CSI.
 
-    ``hr`` is (T, N, n_r, n_t), the receiver's view of trials
-    [start, start+T); returns a (T, N, n_t) array for each curve in
+    ``hr`` is (256, N, n_r, n_t), the receiver's view of batch
+    ``batch``; returns a (256, N, n_t) array for each curve in
     ``running``, and for every fresh-codebook curve when one of them is
     running.  Unquantized curves take the dominant right eigenvector,
-    fixed-codebook curves their codebook's best codeword.  Fresh-codebook
-    curves share one codebook per trial (:func:`_fresh_draws`) for the
-    largest B of the sweep's fresh curves, running or not, so the search
-    has one shape all sweep; the B-bit curve takes the best of the first
-    2**B codewords.
+    fixed-codebook curves the best codeword of their shared codebook,
+    made here by :func:`_fixed_codebook`.  Fresh-codebook curves share
+    one codebook per trial (:func:`_fresh_draws`) for the largest B of
+    the sweep's fresh curves, running or not, so the search has one
+    shape all sweep; the B-bit curve takes the best of the first 2**B
+    codewords.
     """
     t, n, n_r, n_t = hr.shape
     beams = {}
@@ -456,14 +434,14 @@ def _beam_directions(
             v, _ = dominant_right_eigvec_batch(hr.reshape(t * n, n_r, n_t))
             beams[c] = v.reshape(t, n, n_t)
         elif not configs[c].fresh_codebook:
-            _, _, beams[c] = _best_codewords(hr, fixed_cbs[c])
+            _, _, beams[c] = _best_codewords(hr, _fixed_codebook(configs[c]))
     fresh = [
         c for c, cfg in enumerate(configs)
         if cfg.feedback_bits is not None and cfg.fresh_codebook
     ]
     if set(fresh) & set(running):
         bits = [configs[c].feedback_bits for c in fresh]
-        draws = _fresh_draws(configs[0], start, t, max(bits))
+        draws = _fresh_draws(configs[0], batch, max(bits))
         _, _, found = _best_codewords(hr, draws, [1 << b for b in bits])
         beams.update(zip(fresh, found))
     return beams
@@ -476,8 +454,7 @@ def _receiver_links(
     h: np.ndarray,
     pilot: np.ndarray | None,
     noise: np.ndarray,
-    start: int,
-    fixed_cbs: list[Codebook | None],
+    batch: int,
 ):
     """The links of the curves in ``running`` at one SNR point.
 
@@ -501,7 +478,7 @@ def _receiver_links(
         hr = ls_estimate(amp * (h @ training.symbols) + pilot, training) / amp
     else:
         hr = h
-    beams = _beam_directions(configs, running, hr, start, fixed_cbs)
+    beams = _beam_directions(configs, running, hr, batch)
     links = {}
     for c in running:
         # the combiner comes from the receiver's channel knowledge
@@ -517,31 +494,26 @@ def _receiver_links(
 
 
 def _run_block(
-    configs: list[SimConfig],
-    active: np.ndarray,
-    start: int,
-    count: int,
-    fixed_cbs: list[Codebook | None],
+    configs: list[SimConfig], active: np.ndarray, batch: int
 ) -> np.ndarray:
-    """Simulate trials [start, start+count) for the running pairs.
+    """Simulate the 256 trials of batch ``batch`` for the running pairs.
 
     ``configs`` are the curves of one link (they differ only in
-    ``feedback_bits``), ``active`` masks the running (curve, SNR) pairs
-    and ``fixed_cbs`` holds each curve's shared codebook.  The block is
-    drawn once, and the channel is estimated, beams are selected and
-    each curve's effective gains and combined noise are computed once
-    for all curves (per SNR point when the pilot power follows the
-    SNR); each (curve, SNR) pair then detects ``sqrt(rho) * g * x + z``.
-    Returns an int64 (curves, SNR points, 3) array of bits sent, bit
-    errors and null skips, zero where inactive.  All per-trial math is
-    elementwise over trials, so any partition of a trial range into
-    blocks gives identical totals.
+    ``feedback_bits``) and ``active`` masks the running (curve, SNR)
+    pairs.  The result depends on these three arguments alone, so any
+    process can run any batch.  The batch is drawn once, and the channel
+    is estimated, beams are selected and each curve's effective gains
+    and combined noise are computed once for all curves (per SNR point
+    when the pilot power follows the SNR); each (curve, SNR) pair then
+    detects ``sqrt(rho) * g * x + z``.  Returns an int64 (curves, SNR
+    points, 3) array of bits sent, bit errors and null skips, zero where
+    inactive.
     """
     config = configs[0]
     n = config.n_subcarriers
     bps = config.bits_per_symbol
-    bits, h, pilot, noise = _draw_block(config, start, count)
-    x = modulate(bits.reshape(-1), config.modulation).reshape(count, n)
+    bits, h, pilot, noise = _draw_batch(config, batch)
+    x = modulate(bits.reshape(-1), config.modulation).reshape(-1, n)
     per_snr = config.csi_mode == "estimated" and config.pilot_snr_db is None
     out = np.zeros(active.shape + (3,), dtype=np.int64)
     links = None
@@ -553,14 +525,14 @@ def _run_block(
                 active[:, s] if per_snr else active.any(axis=1)
             ).tolist()
             _, links = _receiver_links(
-                configs, running, snr_db, h, pilot, noise, start, fixed_cbs
+                configs, running, snr_db, h, pilot, noise, batch
             )
         amp = np.sqrt(10.0 ** (snr_db / 10.0))
         for c in np.flatnonzero(active[:, s]).tolist():
             _, g, z, ok = links[c]
             x_hat = amp * g * x + z
             rx_bits = demodulate(x_hat.reshape(-1), config.modulation).reshape(
-                count, n * bps
+                bits.shape
             )
             errors = (rx_bits != bits) & np.repeat(ok, bps, axis=1)
             out[c, s] = ok.sum() * bps, errors.sum(), (~ok).sum()
@@ -576,36 +548,17 @@ def trial_effective_gains(
     that detection uses (``gains``), the skip mask (``ok``), the true
     and receiver-side channels, and the unit beam directions.  The
     post-combining SNR on subcarrier k is ``rho * |gains[k]|^2``.  One
-    call draws the trial's whole batch, fresh codebooks included, so its
-    cost grows with 256 * 2**B.
+    call runs the receiver side of the trial's whole batch, fresh
+    codebooks included, and returns the trial's row, so its cost grows
+    with 256 * 2**B.
     """
     config.validate()
-    _, h, pilot, noise = _draw_block(config, trial_index, 1)
-    hr, links = _receiver_links(
-        [config], [0], snr_db, h, pilot, noise, trial_index,
-        [_fixed_codebook(config)],
-    )
+    batch, row = divmod(trial_index, TRIALS_PER_BATCH)
+    _, h, pilot, noise = _draw_batch(config, batch)
+    hr, links = _receiver_links([config], [0], snr_db, h, pilot, noise, batch)
     beams, gains, _, ok = links[0]
-    return {"gains": gains[0], "ok": ok[0], "channel": h[0],
-            "rx_channel": hr[0], "beams": beams[0]}
-
-
-# (configs, fixed codebooks) of the sweep this process serves: set once
-# per pool worker by the initializer, so a task carries only its batch
-_served: tuple = (None, None)
-
-
-def _serve(configs: list[SimConfig], fixed_cbs: list[Codebook | None]):
-    """Serve the sweep of ``configs`` from now on; returns the sweep
-    served before."""
-    global _served
-    before, _served = _served, (configs, fixed_cbs)
-    return before
-
-
-def _run_task(active: np.ndarray, start: int, count: int) -> np.ndarray:
-    configs, fixed_cbs = _served
-    return _run_block(configs, active, start, count, fixed_cbs)
+    return {"gains": gains[row], "ok": ok[row], "channel": h[row],
+            "rx_channel": hr[row], "beams": beams[row]}
 
 
 def run_sweeps(
@@ -635,7 +588,6 @@ def run_sweeps(
     if len(set(labels)) < len(labels):
         raise ConfigError(f"duplicate curves in {labels}")
     n_workers = max(1, n_workers or os.cpu_count() or 1)
-    fixed_cbs = [_fixed_codebook(cfg) for cfg in configs]
     snrs = config.snr_db_points
     totals = np.zeros((len(configs), len(snrs), 3), dtype=np.int64)
     active = np.ones(totals.shape[:2], dtype=bool)
@@ -643,14 +595,9 @@ def run_sweeps(
     batch_bits = (
         TRIALS_PER_BATCH * config.n_subcarriers * config.bits_per_symbol
     )
-    # the serial run serves itself, so both run the same tasks
-    if n_workers > 1:
-        pool = multiprocessing.Pool(n_workers, _serve, (configs, fixed_cbs))
-        starmap = pool.starmap
-    else:
-        pool, starmap = None, itertools.starmap
-        before = _serve(configs, fixed_cbs)
-    next_trial = 0
+    pool = multiprocessing.Pool(n_workers) if n_workers > 1 else None
+    starmap = itertools.starmap if pool is None else pool.starmap
+    next_batch = 0
     try:
         while active.any():
             # null skips send fewer bits, so this is a lower bound and a
@@ -658,11 +605,10 @@ def run_sweeps(
             left = config.max_bits - totals[..., 0][active].min()
             n_batches = min(n_workers, -(-int(left) // batch_bits))
             tasks = [
-                (active, next_trial + i * TRIALS_PER_BATCH, TRIALS_PER_BATCH)
-                for i in range(n_batches)
+                (configs, active, next_batch + i) for i in range(n_batches)
             ]
-            next_trial += n_batches * TRIALS_PER_BATCH
-            for block in starmap(_run_task, tasks):
+            next_batch += n_batches
+            for block in starmap(_run_block, tasks):
                 totals += block
                 bits_sent, bit_errors = totals[..., 0], totals[..., 1]
                 done = active & (
@@ -686,9 +632,7 @@ def run_sweeps(
                     if on_point is not None:
                         on_point(labels[c], points[c, s])
     finally:
-        if pool is None:
-            _serve(*before)
-        else:
+        if pool is not None:
             pool.close()
             pool.join()
     return [

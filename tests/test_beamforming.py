@@ -27,7 +27,7 @@ def perfect_link(h, noise=None):
     if noise is None:
         noise = np.zeros(h.shape[:3], dtype=complex)
     cfg = SimConfig(n_r=h.shape[2], n_t=h.shape[3])
-    _, links = _receiver_links([cfg], [0], 0.0, h, None, noise, 0, [None])
+    _, links = _receiver_links([cfg], [0], 0.0, h, None, noise, 0)
     return [part[0, 0] for part in links[0]]
 
 

@@ -174,6 +174,20 @@ def test_bad_feedback_bits_exits_1(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("extra", [
+    dict(n_pilots="4"), dict(master_seed="7"), dict(curves=["perfect", "2"]),
+])
+def test_numbers_as_strings_exit_1(tmp_path, capsys, extra):
+    out = tmp_path / "x"
+    code = main([
+        "--config", str(tiny_config(tmp_path, **extra)),
+        "--out-dir", str(out),
+    ])
+    assert code == 1
+    assert "config error" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("bits", ["4,4", "perfect,perfect", "perfect,2,1,2"])
 def test_duplicate_curves_exit_1(tmp_path, capsys, bits):
     out = tmp_path / "x"
@@ -193,7 +207,9 @@ def test_duplicate_curves_rejected_from_every_source(tmp_path):
     with pytest.raises(ConfigError):
         parse_config(overrides={"curves": [4, {"feedback_bits": 4}]})
     with pytest.raises(ConfigError):
-        parse_config(path=str(tiny_config(tmp_path, curves=[1, "1"])))
+        parse_config(
+            path=str(tiny_config(tmp_path, curves=[1, {"feedback_bits": 1}]))
+        )
 
 
 def test_unwritable_out_dir_exits_2(tmp_path, capsys):

@@ -1,5 +1,6 @@
 import multiprocessing.pool
 import pickle
+import threading
 import tracemalloc
 from dataclasses import replace
 
@@ -18,7 +19,7 @@ from lfbeam.simulator import (
     OddBitCountError,
     SimConfig,
     TRIALS_PER_BATCH,
-    _draw_block,
+    _draw_batch,
     _fixed_codebook,
     _receiver_links,
     _run_block,
@@ -87,88 +88,54 @@ def test_awgn_statistics():
     """The data noise a unit combiner passes, ``z = a^H n``, is unit
     variance and circularly symmetric on a 2x2 link."""
     cfg = SimConfig(n_r=2, n_subcarriers=1024)
-    _, h, _, noise = _draw_block(cfg, 0, TRIALS_PER_BATCH)
-    _, links = _receiver_links([cfg], [0], 0.0, h, None, noise, 0, [None])
+    _, h, _, noise = _draw_batch(cfg, 0)
+    _, links = _receiver_links([cfg], [0], 0.0, h, None, noise, 0)
     z = links[0][2]
     assert abs((np.abs(z) ** 2).mean() - 1.0) <= 0.02
     assert abs(z.real.var() - 0.5) <= 0.01
     assert abs((z.real * z.imag).mean()) <= 0.01
 
 
-# ------------------------------------------------------- one-trial blocks
+# ------------------------------------------------------------ batch blocks
 
 
-def one_trial(config, snr_db, trial_index):
-    """(bits sent, bit errors, null skips) of one trial at one SNR
-    point: a block of one trial."""
+def one_batch(config, snr_db, batch):
+    """(bits sent, bit errors, null skips) of the 256 trials of one
+    batch at one SNR point."""
     block = _run_block(
         [replace(config, snr_db_points=(snr_db,))], np.ones((1, 1), bool),
-        trial_index, 1, [_fixed_codebook(config)],
+        batch,
     )
     return tuple(block[0, 0].tolist())
 
 
 def test_trial_is_deterministic():
     cfg = SimConfig(**FAST)
-    assert one_trial(cfg, 6.0, 17) == one_trial(cfg, 6.0, 17)
+    assert one_batch(cfg, 6.0, 17) == one_batch(cfg, 6.0, 17)
 
 
 def test_trial_counts_are_consistent():
     cfg = SimConfig(**FAST)
-    bits_sent, bit_errors, null_skips = one_trial(cfg, 0.0, 2)
-    assert bits_sent == cfg.n_subcarriers * cfg.bits_per_symbol
-    assert 0 <= bit_errors <= bits_sent
+    bits_sent, bit_errors, null_skips = one_batch(cfg, 0.0, 2)
+    assert bits_sent == TRIALS_PER_BATCH * cfg.n_subcarriers
+    assert 0 < bit_errors < bits_sent
     assert null_skips == 0
 
 
-def test_blocks_partition_invariant(monkeypatch):
-    """Any split of a trial range gives identical totals for every
-    (curve, SNR) pair, and identical codeword scores even for a fixed
-    512-word codebook on 48 subcarriers, where scores once depended on
-    the block size; also for pieces that straddle a batch boundary."""
-    scores = []
-    best = lfbeam.simulator._best_codewords
-
-    def spy(*args):
-        idx, gain, beam = best(*args)
-        scores.append(gain)
-        return idx, gain, beam
-
-    monkeypatch.setattr(lfbeam.simulator, "_best_codewords", spy)
-    cfg = SimConfig(**dict(FAST, n_subcarriers=48))
-    configs = [cfg, replace(cfg, feedback_bits=9, fresh_codebook=False)]
-    cbs = [None, _fixed_codebook(configs[1])]
-    active = np.ones((2, len(cfg.snr_db_points)), dtype=bool)
-    for whole, pieces in (
-        ([(0, 256)], [(0, 5), (5, 123), (128, 128)]),
-        ([(0, 256), (256, 256)], [(0, 5), (5, 123), (128, 200), (328, 184)]),
-    ):
-        runs = []
-        for blocks in (whole, pieces):
-            scores.clear()
-            total = sum(
-                _run_block(configs, active, start, count, cbs)
-                for start, count in blocks
-            )
-            runs.append((total, np.concatenate(scores, axis=-2)))
-        assert np.array_equal(runs[0][0], runs[1][0])
-        assert np.array_equal(runs[0][1], runs[1][1])
-
-
-def test_block_of_one_scores_only_active_pairs():
+def test_block_scores_only_active_pairs():
     cfg = SimConfig(feedback_bits=2, **FAST)
     active = np.array([[False, True]])  # only the 6 dB point
-    for idx in (0, 9):
-        block = _run_block([cfg], active, idx, 1, [None])
-        assert tuple(block[0, 1]) == one_trial(cfg, 6.0, idx)
+    for batch in (0, 9):
+        block = _run_block([cfg], active, batch)
+        assert tuple(block[0, 1]) == one_batch(cfg, 6.0, batch)
         assert not block[0, 0].any()
 
 
 def test_noiseless_trials_have_zero_errors():
     for kw in (dict(), dict(feedback_bits=3), dict(modulation="qpsk", n_r=2)):
         cfg = SimConfig(**FAST, **kw)
-        for idx in range(6):
-            assert one_trial(cfg, 300.0, idx)[1] == 0
+        for batch in range(2):
+            assert one_batch(cfg, 300.0, batch)[1] == 0
 
 
 def _replay_batch(cfg, batch):
@@ -207,43 +174,36 @@ def _are_codewords(beams, words):
 
 def test_draw_order_is_documented_order():
     """Replaying (bits, taps, pilot noise, data noise) from the batch
-    stream reproduces the draws the simulator used: for a whole batch,
-    for one trial in mid-batch and for a block that straddles a batch
-    boundary.  The fresh codebooks come from each batch's codebook
-    stream: trials 500-529 get their batch's codeword-major draw, scaled
-    to unit length, and the beams of trial 277 and of trials 500-529 are
-    codewords of it."""
+    stream reproduces the draws the simulator used, batch by batch.  The
+    fresh codebooks come from each batch's codebook stream: batch 2 gets
+    its codeword-major draw, scaled to unit length, and the beams of
+    trial 277 and of every trial of batch 2 are codewords of their
+    trial's codebook."""
     cfg = SimConfig(feedback_bits=3, csi_mode="estimated", master_seed=7,
                     **FAST)
-    replay = [
-        np.concatenate(arrays)
-        for arrays in zip(_replay_batch(cfg, 1), _replay_batch(cfg, 2))
-    ]
-    for start, count in ((256, 256), (256 + 21, 1), (500, 30)):
-        rows = slice(start - 256, start - 256 + count)
-        for drawn, want in zip(_draw_block(cfg, start, count), replay):
-            assert np.array_equal(drawn, want[rows])
-    books = np.concatenate(
-        [_replay_codebooks(cfg, b, cfg.feedback_bits) for b in (1, 2)], axis=1
-    )
-    drawn = lfbeam.simulator._fresh_draws(cfg, 500, 30, cfg.feedback_bits)
+    replay = {b: _replay_batch(cfg, b) for b in (1, 2)}
+    for b, want in replay.items():
+        for drawn, arr in zip(_draw_batch(cfg, b), want):
+            assert np.array_equal(drawn, arr)
+    books = {b: _replay_codebooks(cfg, b, cfg.feedback_bits) for b in (1, 2)}
+    drawn = lfbeam.simulator._fresh_draws(cfg, 2, cfg.feedback_bits)
     assert np.array_equal(
-        np.concatenate(list(drawn), axis=1), books[:, 244:274].swapaxes(0, 1)
+        np.concatenate(list(drawn), axis=1), books[2].swapaxes(0, 1)
     )
     d = trial_effective_gains(cfg, 6.0, 256 + 21)
-    assert np.array_equal(d["channel"], replay[1][21])
-    assert _are_codewords(d["beams"], books[:, 21])
-    _, h, pilot, noise = _draw_block(cfg, 500, 30)
-    _, links = _receiver_links([cfg], [0], 6.0, h, pilot, noise, 500, [None])
+    assert np.array_equal(d["channel"], replay[1][1][21])
+    assert _are_codewords(d["beams"], books[1][:, 21])
+    _, h, pilot, noise = replay[2]
+    _, links = _receiver_links([cfg], [0], 6.0, h, pilot, noise, 2)
     for r, beams in enumerate(links[0][0]):
-        assert _are_codewords(beams, books[:, 500 - 256 + r])
+        assert _are_codewords(beams, books[2][:, r])
 
 
 def test_every_curve_sees_the_same_noise():
     """Fresh codebooks come from streams of their own, so they leave a
-    trial's noise as on the perfect-CSI curve."""
-    perfect = _draw_block(SimConfig(**FAST), 5, 1)
-    fresh = _draw_block(SimConfig(feedback_bits=4, **FAST), 5, 1)
+    batch's noise as on the perfect-CSI curve."""
+    perfect = _draw_batch(SimConfig(**FAST), 5)
+    fresh = _draw_batch(SimConfig(feedback_bits=4, **FAST), 5)
     assert np.array_equal(perfect[3], fresh[3])
 
 
@@ -296,13 +256,16 @@ def test_estimated_error_shrinks_with_pilot_power():
 
 
 def test_fixed_codebook_mode_shares_one_codebook():
+    """Every trial's beams, in any batch, are codewords of the one
+    seeded codebook, and the two modes simulate different links."""
     cfg = SimConfig(feedback_bits=3, fresh_codebook=False, **FAST)
-    assert one_trial(cfg, 6.0, 0) == one_trial(cfg, 6.0, 0)
+    words = _fixed_codebook(cfg).vectors
+    for idx in (3, 256 + 40, 5 * 256 + 7):
+        assert _are_codewords(trial_effective_gains(cfg, 6.0, idx)["beams"],
+                              words)
+    assert one_batch(cfg, 6.0, 0) == one_batch(cfg, 6.0, 0)
     fresh = SimConfig(feedback_bits=3, fresh_codebook=True, **FAST)
-    diffs = sum(
-        one_trial(cfg, 6.0, i) != one_trial(fresh, 6.0, i) for i in range(40)
-    )
-    assert diffs > 0  # the two modes really simulate different links
+    assert one_batch(cfg, 6.0, 0) != one_batch(fresh, 6.0, 0)
 
 
 # ---------------------------------------------------------------- run_sweep
@@ -343,6 +306,35 @@ def test_sweep_worker_count_does_not_change_results():
     for workers in (1, 3):
         joint = run_sweeps(cfg, curves, n_workers=workers)
         assert [c.to_csv_text() for c in joint] == alone
+
+
+def test_serial_sweeps_on_two_threads_keep_their_links():
+    """A 2x1 and a 2x2 serial sweep started together on two threads of
+    one process each return the CSVs they return alone: a block depends
+    on its task alone, not on state that the other sweep can change."""
+    base = SimConfig(snr_db_points=(0.0, 8.0), target_errors=10**6,
+                     max_bits=200_000)
+    links = [base, replace(base, n_r=2, modulation="qpsk")]
+    curves = [None, 3]
+
+    def sweep(cfg):
+        return [c.to_csv_text() for c in run_sweeps(cfg, curves)]
+
+    alone = [sweep(cfg) for cfg in links]
+    together = [None, None]
+    start = threading.Barrier(2, timeout=60)
+
+    def run(i):
+        start.wait()
+        together[i] = sweep(links[i])
+
+    threads = [threading.Thread(target=run, args=(i,)) for i in (0, 1)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=120)
+        assert not t.is_alive()
+    assert together == alone
 
 
 def test_mimo22_counts_are_pinned(monkeypatch):
@@ -416,40 +408,36 @@ def test_fresh_curves_share_one_codebook_per_trial(monkeypatch):
     assert [c.to_csv_text() for c in joint] == alone
     assert sizes == []
     configs = [replace(cfg, feedback_bits=bits) for bits in curves]
-    _, h, _, _ = _draw_block(cfg, 256 + 40, 8)
-    beams = lfbeam.simulator._beam_directions(
-        configs, [0, 1, 2], h, 256 + 40, [None] * 3
-    )
+    _, h, _, _ = _draw_batch(cfg, 1)
+    beams = lfbeam.simulator._beam_directions(configs, [0, 1, 2], h, 1)
     books = _replay_codebooks(cfg, 1, 8)
     for c, bits in enumerate(curves):
-        for r in range(8):
-            prefix = books[: 1 << bits, 40 + r]
+        for r in range(40, 48):
+            prefix = books[: 1 << bits, r]
             assert _are_codewords(beams[c][r], prefix)
-    assert (beams[0] == books[0, 40:48, None]).all()  # B=0: codeword 0
+    assert (beams[0] == books[0, :, None]).all()  # B=0: codeword 0
 
 
 def test_codeword_chunks_do_not_change_results(monkeypatch):
-    """A fresh B=8 block drawn and scanned in 4-codeword chunks, on
-    blocks within and across batches, picks the same beams and gives the
-    same totals as one 256-codeword chunk."""
+    """A fresh B=8 batch drawn and scanned in 4-codeword chunks picks
+    the same beams and gives the same totals as one 256-codeword chunk,
+    in two batches."""
     cfg = SimConfig(feedback_bits=8, **FAST)
     active = np.ones((1, len(cfg.snr_db_points)), dtype=bool)
 
-    def run(start, count):
-        _, h, _, _ = _draw_block(cfg, start, count)
-        beams = lfbeam.simulator._beam_directions(
-            [cfg], [0], h, start, [None]
-        )
-        return beams[0], _run_block([cfg], active, start, count, [None])
+    def run(batch):
+        _, h, _, _ = _draw_batch(cfg, batch)
+        beams = lfbeam.simulator._beam_directions([cfg], [0], h, batch)
+        return beams[0], _run_block([cfg], active, batch)
 
-    blocks = ((0, 256), (200, 100))
-    whole = [run(*block) for block in blocks]
-    assert len(list(lfbeam.simulator._fresh_draws(cfg, 0, 1, 8))) == 1
+    batches = (0, 3)
+    whole = [run(batch) for batch in batches]
+    assert len(list(lfbeam.simulator._fresh_draws(cfg, 0, 8))) == 1
     for module in (lfbeam.codebook, lfbeam.simulator):
         monkeypatch.setattr(module, "_GAIN_BUDGET", 1 << 14)
-    assert len(list(lfbeam.simulator._fresh_draws(cfg, 0, 1, 8))) == 64
-    for (beams, totals), block in zip(whole, blocks):
-        beams_c, totals_c = run(*block)
+    assert len(list(lfbeam.simulator._fresh_draws(cfg, 0, 8))) == 64
+    for (beams, totals), batch in zip(whole, batches):
+        beams_c, totals_c = run(batch)
         assert np.array_equal(beams_c, beams)
         assert np.array_equal(totals_c, totals)
 
@@ -459,7 +447,7 @@ def test_fresh_curve_does_not_depend_on_the_largest_curve():
     width: next to a B=10 curve, whose 1,024 codewords are drawn in
     several chunks, the B=1 curve equals the B=1 curve swept alone."""
     cfg = SimConfig(**FAST)
-    assert len(list(lfbeam.simulator._fresh_draws(cfg, 0, 1, 10))) > 1
+    assert len(list(lfbeam.simulator._fresh_draws(cfg, 0, 10))) > 1
     joint = run_sweeps(cfg, [1, 10])
     alone = run_sweep(replace(cfg, feedback_bits=1))
     assert joint[0].to_csv_text() == alone.to_csv_text()
@@ -475,7 +463,7 @@ def test_fresh_codebook_memory_is_bounded():
     assert whole == 128 << 20
     tracemalloc.start()
     try:
-        totals = _run_block([cfg], np.ones((1, 1), bool), 0, 256, [None])
+        totals = _run_block([cfg], np.ones((1, 1), bool), 0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -517,8 +505,11 @@ def test_capped_sweep_sends_no_spare_batches(monkeypatch, pool_tasks):
         calls.append(args[2])
         return run_block(*args)
 
-    monkeypatch.setattr(lfbeam.simulator, "_run_block", spy)
-    solo = run_sweep(cfg, n_workers=1)
+    # the pool pickles ``_run_block`` by name, so the spy, a local
+    # function, watches the serial sweep only
+    with monkeypatch.context() as m:
+        m.setattr(lfbeam.simulator, "_run_block", spy)
+        solo = run_sweep(cfg, n_workers=1)
     duo = run_sweep(cfg, n_workers=2)
     want = -(-cfg.max_bits // batch_bits)
     assert want == 3
@@ -529,8 +520,8 @@ def test_capped_sweep_sends_no_spare_batches(monkeypatch, pool_tasks):
 
 
 def test_tasks_do_not_carry_the_codebook(pool_tasks):
-    """Fixed codebooks reach the workers once, through the pool
-    initializer, so a task's size does not grow with the codebook."""
+    """A task carries the curves' configs, not their fixed codebooks,
+    so its size does not grow with the codebook."""
     sizes = []
     for bits in (4, 16):
         cfg = SimConfig(n_subcarriers=4, n_taps=1, feedback_bits=bits,
@@ -673,17 +664,21 @@ def test_config_validation_rejects(bad):
     {"snr_db_points": "05"},
     {"snr_db_points": [0, "4"]},
     {"snr_db_points": 4},
+    # nor as integers
+    {"n_pilots": "4"},
+    {"master_seed": "7"},
+    {"feedback_bits": "2"},
 ])
 def test_config_from_dict_rejects(bad):
     with pytest.raises(ConfigError):
         SimConfig.from_dict(bad)
 
 
-@given(st.integers(0, 1000), st.integers(0, 600))
+@given(st.integers(0, 1000), st.integers(0, 3))
 @settings(max_examples=20, deadline=None)
-def test_trial_streams_are_reproducible(seed, idx):
-    """A trial's draws depend only on (master seed, trial index)."""
+def test_trial_streams_are_reproducible(seed, batch):
+    """A batch's draws depend only on (master seed, batch index)."""
     cfg = SimConfig(csi_mode="estimated", n_subcarriers=8, master_seed=seed)
-    a = _draw_block(cfg, idx, 1)
-    b = _draw_block(cfg, idx, 1)
+    a = _draw_batch(cfg, batch)
+    b = _draw_batch(cfg, batch)
     assert all(np.array_equal(x, y) for x, y in zip(a, b))
