@@ -117,7 +117,9 @@ def test_trial_is_deterministic():
 def test_trial_counts_are_consistent():
     cfg = SimConfig(**FAST)
     bits_sent, bit_errors, null_skips = one_batch(cfg, 0.0, 2)
-    assert bits_sent == TRIALS_PER_BATCH * cfg.n_subcarriers
+    assert bits_sent == (
+        TRIALS_PER_BATCH * cfg.n_subcarriers * cfg.bits_per_symbol
+    )
     assert 0 < bit_errors < bits_sent
     assert null_skips == 0
 
