@@ -21,6 +21,11 @@ and these stages are timed on the blocks of batches 1 to 4 (trials
 - ``block``: the whole ``_run_block``, with its minor page faults
   (``ru_minflt``) per block over all of its rounds.
 
+The pool is timed end to end: one capped estimated-2w ``run_sweeps``
+(the workload's single point, run to its bit cap) at 1 and at 2
+workers, best of ``SWEEPS`` runs each, and the ratio of the two times,
+the pool's speedup.
+
 A table goes to standard output and a JSON record, with the machine,
 Python, numpy and BLAS versions and the line count of ``src/``, to
 ``--out``.  The recorded commit ends in ``-dirty`` when tracked files
@@ -54,6 +59,8 @@ from workloads import WORKLOADS  # noqa: E402
 SEED = 1  # master seed of every workload
 BLOCKS = 4  # the blocks of batches 1 to BLOCKS are timed
 REPEATS = 8  # rounds; each stage's best round is kept
+SWEEPS = 3  # runs of the pool sweep at each worker count; the best is kept
+POOL_WORKLOAD = "estimated-2w"
 
 
 def best_ms(fn, batches):
@@ -132,6 +139,24 @@ def bench(wl):
     return out
 
 
+def bench_pool(wl):
+    """Best wall time of the workload's sweep at 1 and 2 workers, and
+    the speedup of the second over the first."""
+    config, curves = parse_config(
+        preset=wl.preset, overrides=wl.config_overrides(SEED)
+    )
+    out = {}
+    for workers in (1, 2):
+        best = float("inf")
+        for _ in range(SWEEPS):
+            t0 = time.perf_counter()
+            sim.run_sweeps(config, curves, n_workers=workers)
+            best = min(best, time.perf_counter() - t0)
+        out[f"sweep_{workers}w_s"] = best
+    out["speedup"] = out["sweep_1w_s"] / out["sweep_2w_s"]
+    return out
+
+
 def main(argv=None):
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("--out", required=True, help="JSON record to write")
@@ -161,6 +186,10 @@ def main(argv=None):
         print(f"{name:14s} {r['pairs']:5d} {r['draw_ms']:8.2f} "
               f"{r['receiver_ms']:9.2f} {r['detect_ms']:8.2f} "
               f"{r['block_ms']:8.2f} {r['minflt_per_block']:7.0f}")
+    pool = bench_pool(WORKLOADS[POOL_WORKLOAD])
+    record["pool"] = {"workload": POOL_WORKLOAD, **pool}
+    print(f"{POOL_WORKLOAD} sweep: {pool['sweep_1w_s']:.3f} s at 1 worker, "
+          f"{pool['sweep_2w_s']:.3f} s at 2, speedup {pool['speedup']:.2f}")
     with open(args.out, "w") as f:
         json.dump(record, f, indent=1)
         f.write("\n")

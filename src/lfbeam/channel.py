@@ -118,7 +118,9 @@ def ls_estimate(received: np.ndarray, training: TrainingSequence) -> np.ndarray:
     With ``received = H @ S + noise`` and orthogonal unit-modulus
     training ``S``, the LS estimate is ``received @ S^H / n_pilots``.
     ``received`` has shape (..., n_r, n_pilots); leading batch axes are
-    allowed and broadcast through.  Returns (..., n_r, n_t).
+    allowed and are flattened into the rows of one 2-D GEMM, so a stack
+    of trials and subcarriers costs one BLAS call, not one per matrix.
+    Returns (..., n_r, n_t).
     """
     y = np.asarray(received, dtype=np.complex128)
     s = training.symbols
@@ -126,4 +128,6 @@ def ls_estimate(received: np.ndarray, training: TrainingSequence) -> np.ndarray:
         raise ShapeMismatchError(
             f"received shape {y.shape} does not match n_pilots={s.shape[1]}"
         )
-    return y @ (s.conj().T / s.shape[1])
+    n_t, n_pilots = s.shape
+    w = s.conj().T / n_pilots
+    return (y.reshape(-1, n_pilots) @ w).reshape(y.shape[:-1] + (n_t,))

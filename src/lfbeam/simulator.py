@@ -39,7 +39,7 @@ worker count.
 
 from __future__ import annotations
 
-import itertools
+import collections
 import multiprocessing
 import numbers
 import os
@@ -475,7 +475,9 @@ def _receiver_links(
         else:
             rho_p = 10.0 ** (config.pilot_snr_db / 10.0)
         amp = np.sqrt(rho_p)
-        hr = ls_estimate(amp * (h @ training.symbols) + pilot, training) / amp
+        # one GEMM over every trial and subcarrier
+        rx = (h.reshape(-1, config.n_t) @ training.symbols).reshape(pilot.shape)
+        hr = ls_estimate(amp * rx + pilot, training) / amp
     else:
         hr = h
     beams = _beam_directions(configs, running, hr, batch)
@@ -575,10 +577,14 @@ def run_sweeps(
     still running; a pair stops once it has counted ``target_errors``
     bit errors or sent ``max_bits`` bits, and ``on_point(label, point)``
     is called as it does.  ``n_workers`` processes (0 picks the CPU
-    count) take whole batches, up to one each per round but no more than
-    the bit cap of the running pairs can still use; results are reduced
-    in batch order and a pair ignores batches past its stopping point,
-    so the result is identical for every worker count.  Each curve may
+    count) take whole batches, up to ``2 * n_workers`` in flight and
+    topped up as each result comes back (one at a time in this process
+    for one worker), but never more than the bit cap of the running
+    pairs can still use.  A batch carries the running pairs as they
+    stood when it was sent, and pairs only stop; results are reduced in
+    batch order and a pair ignores batches past its stopping point, so
+    the result is identical for every worker count.  An error terminates
+    the pool without waiting for the batches in flight.  Each curve may
     appear once; a repeated curve raises :class:`ConfigError`.
     """
     configs = [replace(config, feedback_bits=bits) for bits in curves]
@@ -596,45 +602,52 @@ def run_sweeps(
         TRIALS_PER_BATCH * config.n_subcarriers * config.bits_per_symbol
     )
     pool = multiprocessing.Pool(n_workers) if n_workers > 1 else None
-    starmap = itertools.starmap if pool is None else pool.starmap
+    window = 2 * n_workers if pool is not None else 1
+
+    def submit(task):
+        if pool is None:
+            return lambda: _run_block(*task)
+        return pool.apply_async(_run_block, task).get
+
+    in_flight: collections.deque = collections.deque()
     next_batch = 0
     try:
         while active.any():
             # null skips send fewer bits, so this is a lower bound and a
-            # later round picks up any shortfall
+            # later batch picks up any shortfall
             left = config.max_bits - totals[..., 0][active].min()
-            n_batches = min(n_workers, -(-int(left) // batch_bits))
-            tasks = [
-                (configs, active, next_batch + i) for i in range(n_batches)
-            ]
-            next_batch += n_batches
-            for block in starmap(_run_block, tasks):
-                totals += block
-                bits_sent, bit_errors = totals[..., 0], totals[..., 1]
-                done = active & (
-                    (bit_errors >= config.target_errors)
-                    | (bits_sent >= config.max_bits)
+            wanted = min(window, -(-int(left) // batch_bits))
+            while len(in_flight) < wanted:
+                in_flight.append(submit((configs, active, next_batch)))
+                next_batch += 1
+            # reduced in batch order, whichever worker finishes first
+            totals += in_flight.popleft()()
+            bits_sent, bit_errors = totals[..., 0], totals[..., 1]
+            done = active & (
+                (bit_errors >= config.target_errors)
+                | (bits_sent >= config.max_bits)
+            )
+            # a new array: the batches in flight keep the mask they
+            # were sent with
+            active = active & ~done
+            for c, s in zip(*np.nonzero(done)):
+                b, e, skips = totals[c, s].tolist()
+                ber = e / b if b else 0.0
+                half = 1.96 * np.sqrt(ber * (1.0 - ber) / b) if b else 0.0
+                points[c, s] = BerPoint(
+                    snr_db=float(snrs[s]),
+                    bits_sent=b,
+                    bit_errors=e,
+                    ber=ber,
+                    half_width_95=float(half),
+                    converged=e >= config.target_errors,
+                    null_skips=skips,
                 )
-                active = active & ~done
-                for c, s in zip(*np.nonzero(done)):
-                    b, e, skips = totals[c, s].tolist()
-                    ber = e / b if b else 0.0
-                    half = 1.96 * np.sqrt(ber * (1.0 - ber) / b) if b else 0.0
-                    points[c, s] = BerPoint(
-                        snr_db=float(snrs[s]),
-                        bits_sent=b,
-                        bit_errors=e,
-                        ber=ber,
-                        half_width_95=float(half),
-                        converged=e >= config.target_errors,
-                        null_skips=skips,
-                    )
-                    if on_point is not None:
-                        on_point(labels[c], points[c, s])
+                if on_point is not None:
+                    on_point(labels[c], points[c, s])
     finally:
         if pool is not None:
-            pool.close()
-            pool.join()
+            pool.terminate()
     return [
         BerCurve(labels[c], cfg, tuple(points[c, s] for s in range(len(snrs))))
         for c, cfg in enumerate(configs)

@@ -1,6 +1,8 @@
+import multiprocessing
 import multiprocessing.pool
 import pickle
 import threading
+import time
 import tracemalloc
 from dataclasses import replace
 
@@ -482,16 +484,67 @@ def test_duplicate_curves_rejected():
 
 @pytest.fixture
 def pool_tasks(monkeypatch):
-    """The tasks every worker pool is sent, one ``_run_block`` call each."""
+    """The tasks every worker pool is sent, one ``_run_block`` call each,
+    in the order they are submitted."""
     sent = []
-    starmap = multiprocessing.pool.Pool.starmap
+    apply_async = multiprocessing.pool.Pool.apply_async
 
-    def spy(self, fn, tasks, *args, **kwargs):
-        sent.extend(tasks)
-        return starmap(self, fn, tasks, *args, **kwargs)
+    def spy(self, fn, args=(), *rest, **kwargs):
+        sent.append(args)
+        return apply_async(self, fn, args, *rest, **kwargs)
 
-    monkeypatch.setattr(multiprocessing.pool.Pool, "starmap", spy)
+    monkeypatch.setattr(multiprocessing.pool.Pool, "apply_async", spy)
     return sent
+
+
+def test_window_keeps_results_and_bounds_spare_batches(pool_tasks):
+    """Batches in flight are reduced in batch order with the mask they
+    were sent with, so an error-target-stopped two-curve sweep and a
+    capped sweep give the same CSVs at 1, 2 and 3 workers.  The 2-worker
+    sweep sends batches in order and at most ``2 * 2 - 1`` past the last
+    one it reduces."""
+    stopped = SimConfig(snr_db_points=(0.0, 4.0, 8.0), target_errors=300,
+                        max_bits=10**6)
+    capped = SimConfig(snr_db_points=(20.0, 30.0), target_errors=10**6,
+                       max_bits=100_000)
+    for cfg in (stopped, capped):
+        csvs = {}
+        for workers in (1, 2, 3):
+            pool_tasks.clear()
+            curves = run_sweeps(cfg, [None, 2], n_workers=workers)
+            csvs[workers] = [c.to_csv_text() for c in curves]
+            if workers == 2:
+                sent = [task[2] for task in pool_tasks]
+                trials = max(
+                    p.bits_sent // cfg.bits_per_symbol + p.null_skips
+                    for c in curves for p in c.points
+                ) // cfg.n_subcarriers
+                reduced = trials // TRIALS_PER_BATCH
+                assert sent == list(range(len(sent)))
+                assert reduced <= len(sent) <= reduced + 2 * workers - 1
+        assert csvs[1] == csvs[2] == csvs[3]
+    # every pair of the capped sweep ran to the cap
+    assert len({p.bits_sent for c in curves for p in c.points}) == 1
+    assert not any(p.converged for c in curves for p in c.points)
+
+
+def test_worker_error_terminates_the_pool(monkeypatch):
+    """A worker's error is raised by the sweep at once: the pool is
+    terminated, not left to finish the batches in flight, and no worker
+    process outlives the call."""
+
+    def draw(config, batch):
+        if batch:
+            time.sleep(60)
+        raise RuntimeError(f"no draws for batch {batch}")
+
+    # patched before the pool forks, so the workers inherit it
+    monkeypatch.setattr(lfbeam.simulator, "_draw_batch", draw)
+    start = time.perf_counter()
+    with pytest.raises(RuntimeError, match="no draws for batch 0"):
+        run_sweeps(SimConfig(**FAST), [None], n_workers=2)
+    assert time.perf_counter() - start < 30
+    assert multiprocessing.active_children() == []
 
 
 def test_capped_sweep_sends_no_spare_batches(monkeypatch, pool_tasks):
@@ -679,8 +732,17 @@ def test_config_from_dict_rejects(bad):
 @given(st.integers(0, 1000), st.integers(0, 3))
 @settings(max_examples=20, deadline=None)
 def test_trial_streams_are_reproducible(seed, batch):
-    """A batch's draws depend only on (master seed, batch index)."""
+    """A batch's draws depend only on (master seed, batch index): they
+    repeat, its bits are the first draw of ``SeedSequence([seed,
+    batch])``, and the neighbouring seed and batch index draw other
+    channels."""
     cfg = SimConfig(csi_mode="estimated", n_subcarriers=8, master_seed=seed)
     a = _draw_batch(cfg, batch)
     b = _draw_batch(cfg, batch)
     assert all(np.array_equal(x, y) for x, y in zip(a, b))
+    rng = np.random.default_rng(np.random.SeedSequence([seed, batch]))
+    bits = rng.integers(0, 2, size=a[0].shape, dtype=np.uint8)
+    assert np.array_equal(a[0], bits)
+    near = (_draw_batch(replace(cfg, master_seed=seed + 1), batch),
+            _draw_batch(cfg, batch + 1))
+    assert not any(np.array_equal(a[1], other[1]) for other in near)
