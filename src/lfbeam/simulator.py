@@ -609,7 +609,7 @@ def run_sweeps(
             return lambda: _run_block(*task)
         return pool.apply_async(_run_block, task).get
 
-    in_flight: collections.deque = collections.deque()
+    in_flight = collections.deque()
     next_batch = 0
     try:
         while active.any():
