@@ -19,7 +19,9 @@ and these stages are timed on the blocks of batches 1 to 4 (trials
   and the receiver side of the block given (``sqrt(rho) * g * x + z``,
   hard decisions and error counts);
 - ``block``: the whole ``_run_block``, with its minor page faults
-  (``ru_minflt``) per block over all of its rounds.
+  (``ru_minflt``) per block over all of its rounds and the peak of the
+  memory that ``tracemalloc`` traces in one more block (numpy's arrays
+  included), in MB.
 
 The pool is timed end to end: one capped estimated-2w ``run_sweeps``
 (the workload's single point, run to its bit cap) at 1 and at 2
@@ -44,6 +46,7 @@ import resource
 import subprocess
 import sys
 import time
+import tracemalloc
 from dataclasses import replace
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -136,6 +139,13 @@ def bench(wl):
     out["block_ms"] = best_ms(block, batches)
     faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
     out["minflt_per_block"] = faults / (len(batches) * REPEATS)
+    tracemalloc.start()
+    try:
+        block(batches[0])
+        peak = tracemalloc.get_traced_memory()[1]
+        out["tracemalloc_peak_mb"] = peak / 2**20
+    finally:
+        tracemalloc.stop()
     return out
 
 
@@ -179,13 +189,15 @@ def main(argv=None):
     print(f"{env['cpu']}, {env['nproc']} CPUs, Python {env['python']}, "
           f"numpy {env['numpy']}, {env['blas']}")
     print(f"{'workload':14s} {'pairs':>5s} {'draw':>8s} {'receiver':>9s} "
-          f"{'detect':>8s} {'block':>8s} {'minflt':>7s}  (ms per block)")
+          f"{'detect':>8s} {'block':>8s} {'minflt':>7s} {'peak MB':>8s}"
+          "  (ms per block)")
     for name, wl in WORKLOADS.items():
         r = bench(wl)
         record["workloads"][name] = r
         print(f"{name:14s} {r['pairs']:5d} {r['draw_ms']:8.2f} "
               f"{r['receiver_ms']:9.2f} {r['detect_ms']:8.2f} "
-              f"{r['block_ms']:8.2f} {r['minflt_per_block']:7.0f}")
+              f"{r['block_ms']:8.2f} {r['minflt_per_block']:7.0f} "
+              f"{r['tracemalloc_peak_mb']:8.2f}")
     pool = bench_pool(WORKLOADS[POOL_WORKLOAD])
     record["pool"] = {"workload": POOL_WORKLOAD, **pool}
     print(f"{POOL_WORKLOAD} sweep: {pool['sweep_1w_s']:.3f} s at 1 worker, "

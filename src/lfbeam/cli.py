@@ -12,6 +12,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import replace
 
 from .simulator import (  # noqa: F401 (run_sweep: perfbench traces it here)
     BerCurve,
@@ -127,6 +128,8 @@ def parse_config(
     config = SimConfig.from_dict(raw)
     if curves is None:
         curves = list(_DEFAULT_CURVES.get(preset, _DEFAULT_CURVES[None]))
+    for bits in curves:  # each curve's range, before any run starts
+        replace(config, feedback_bits=bits).validate()
     return config, curves
 
 

@@ -33,13 +33,11 @@ MAX_BITS = 20
 _HEADER = struct.Struct("<III")  # dim, bits, seed
 
 # Element budget for one tile of the (trials, subcarriers, codewords)
-# gain tensor: 2**20 float64 values, 8 MB.  The search stacks whole
-# trials up to it, so a trial's chunk is scored in one product, the
-# same in a block of any size.  At 4 MB, glibc's malloc handed the heap
-# back to the system after every block and faulted it in again (about
-# 1,500 page faults per 256-trial estimated-CSI block, a quarter of its
-# time).
-_GAIN_BUDGET = 1 << 20
+# gain tensor: 2**17 float64 values, 1 MB.  The search stacks whole
+# trials up to it, so a trial's run of codewords is scored in one
+# product, the same in a block of any size.  Tiles this small stay on
+# the heap because the simulator primes glibc's malloc at import.
+_GAIN_BUDGET = 1 << 17
 
 
 class CodebookTooLargeError(ValueError):
@@ -207,11 +205,14 @@ def _best_codewords(
 
     Gains are one real GEMM in lifted form, the channel's features
     ``sum_r _lift(conj(H_r))`` times the codewords' ``_lift(w)`` (a
-    codebook's cached ``features``), so the cost does not grow with n_r.
-    Codewords are scanned once, chunk by chunk, each chunk in stacks of
-    whole groups within ``_GAIN_BUDGET`` gains, and dropped once scored,
-    so the winners' vectors are kept with their index and gain.  The
-    first maximizer wins, so ties break to the lowest index.
+    codebook's cached ``features``, else each array or chunk lifted
+    once), so the cost does not grow with n_r.  Codewords are scanned
+    once, in order: each run of codewords between prefix ends is scored
+    in tiles of whole groups within ``_GAIN_BUDGET`` gains, a group's
+    tile the same product whatever the stack or block size, and merged
+    into the best so far.  A chunk is dropped once scored, so the
+    winners' vectors are kept with their index and gain.  The first
+    maximizer wins, so ties break to the lowest index.
     """
     t, n, n_r, dim = h.shape
     feats = _lift(h.conj())
@@ -219,49 +220,61 @@ def _best_codewords(
     # the off-diagonal doubling goes on the channel side: scaling by 2
     # is exact, and the codewords outnumber the channels
     feats[:, :, dim:] *= 2.0
+    ends = sorted(set(sizes or ()))
+    last = ends[-1] if ends else None
     lifted = None
     if isinstance(words, Codebook):
-        lifted, words = words.features, words.vectors
-    ends = [words.shape[-2]] if sizes is None else sorted(set(sizes))
+        lifted, words = words.features[:last], words.vectors
     if isinstance(words, np.ndarray):
-        step = max(1, min(ends[-1], _GAIN_BUDGET // n))
-        words = [words[..., lo : lo + step, :] for lo in range(0, ends[-1], step)]
-    found, best, lo = {}, None, 0
+        words = [words[..., :last, :]]
+    group = np.repeat(np.arange(t), n)
+    idx = np.empty(t * n, np.intp)
+    gain = np.empty(t * n)
+    vec, found, lo = None, {}, 0
     for chunk in words:
-        hi = lo + chunk.shape[-2]
-        # the best of each requested prefix ending in this chunk, then
-        # of the whole chunk
-        stops = [e for e in ends if lo < e < hi] + [hi]
-        idx = np.empty((len(stops), t * n), np.intp)
-        gain = np.empty(idx.shape)
-        if chunk.ndim == 2:  # shared by the stack: lifted once
-            cols = (_lift(chunk) if lifted is None else lifted[lo:hi]).T
-        # whole groups stacked up to the gain budget: a group's gains are
-        # the same product in any stack, whatever the block size
-        stack = max(1, _GAIN_BUDGET // (n * (hi - lo)))
-        for a in range(0, t, stack):
-            rows = slice(a * n, (a + stack) * n)
-            if chunk.ndim == 3:
-                cols = _lift(chunk[a : a + stack]).swapaxes(-1, -2)
-            tile = (feats[a : a + stack] @ cols).reshape(-1, hi - lo)
-            for s, end in enumerate(stops):
-                idx[s, rows] = tile[:, : end - lo].argmax(axis=1)
-            flat = idx[:, rows] + np.arange(0, tile.size, hi - lo)
-            gain[:, rows] = tile.take(flat)
-            del tile  # one tile at a time, gone before the gathers below
-        at = idx if chunk.ndim == 2 else np.repeat(np.arange(t) * (hi - lo), n) + idx
-        vec = chunk.reshape(-1, dim).take(at, axis=0)
-        if best is not None:  # merged with the best of earlier chunks
-            idx += lo
-            better = gain > best[1]  # strict: earlier chunks keep ties
-            idx = np.where(better, idx, best[0])
-            gain = np.where(better, gain, best[1])
-            vec = np.where(better[..., None], vec, best[2])
-        best, lo = (idx[-1], gain[-1], vec[-1]), hi
-        found.update((e, (idx[s], gain[s], vec[s]))
-                     for s, e in enumerate(stops) if e in ends)
+        if lifted is None:
+            lifted = _lift(chunk)
+        # a shared codebook is every group's
+        chunk = np.broadcast_to(chunk, (t,) + chunk.shape[-2:])
+        lifted = np.broadcast_to(lifted, (t,) + lifted.shape[-2:])
+        hi = lo + chunk.shape[1]
+        cuts = sorted({lo, hi}.union(e for e in ends if lo < e < hi))
+        snaps = []
+        for a, b in zip(cuts, cuts[1:]):
+            width = max(1, min(b - a, _GAIN_BUDGET // n))
+            stack = max(1, _GAIN_BUDGET // (n * width))
+            for c in range(a, b, width):
+                w = min(c + width, b) - c
+                cols = lifted[:, c - lo : c - lo + w].swapaxes(-1, -2)
+                # where each row of a tile starts in its flat gains
+                starts = np.arange(0, min(stack, t) * n * w, w)
+                for r in range(0, t, stack):
+                    rows = slice(r * n, (r + stack) * n)
+                    tile = (feats[r : r + stack] @ cols[r : r + stack])
+                    tile = tile.reshape(-1, w)
+                    best = tile.argmax(axis=1)
+                    score = tile.take(best + starts[: len(best)])
+                    del tile  # one tile at a time
+                    if c == 0:
+                        idx[rows], gain[rows] = best, score
+                    else:  # strict: earlier codewords keep ties
+                        better = score > gain[rows]
+                        np.copyto(idx[rows], best + c, where=better)
+                        np.copyto(gain[rows], score, where=better)
+            snaps.append((b, idx.copy(), gain.copy()))
+        # the winners' vectors at every cut, gathered from this chunk in
+        # one pass; winners from earlier chunks keep theirs
+        at = np.stack([i for _, i, _ in snaps]) - lo
+        won = chunk[group, np.maximum(at, 0)]
+        if lo:
+            np.copyto(won, vec, where=(at < 0)[..., None])
+        for (b, i, score), v in zip(snaps, won):
+            if b in ends:
+                found[b] = i, score, v
+        vec, lo = won[-1], hi
+        # dropped before the source draws the next chunk
+        chunk = lifted = cols = None
     if sizes is None:
-        idx, gain, vec = best
         return idx.reshape(t, n), gain.reshape(t, n), vec.reshape(t, n, dim)
     return tuple(np.stack(x).reshape((-1, t, n) + x[0].shape[1:])
                  for x in zip(*(found[e] for e in sizes)))

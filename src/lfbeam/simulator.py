@@ -51,7 +51,7 @@ import numpy as np
 from .channel import (
     _complex_normal, ls_estimate, make_phase_shift_training, to_subcarriers,
 )
-from .codebook import _GAIN_BUDGET, Codebook, _best_codewords, gen_rvq
+from .codebook import Codebook, _best_codewords, gen_rvq
 from .numerics import dominant_right_eigvec_batch
 from .beamforming import apply_power_constraint  # noqa: F401 (perfbench traces it here)
 
@@ -85,6 +85,17 @@ TRIALS_PER_BATCH = 256
 # SeedSequence stream key for the shared codebook in fixed-codebook
 # mode; far outside any reachable batch index.
 _CODEBOOK_STREAM = 2**62 + 11
+
+# Normals per chunk of fresh codebooks (2 MB): the codewords of a batch
+# are drawn, scored and dropped this many at a time.
+_DRAW_CHUNK = 1 << 18
+
+# Prime glibc's malloc: freeing one untouched 16 MB mapping raises its
+# mmap threshold to 16 MB and its trim threshold to 32 MB (mallopt(3)),
+# so a block's temporaries are reused on the heap instead of being
+# mapped, faulted in and handed back every block.  Forked workers
+# inherit the state; the array adds no resident memory.
+np.empty(1 << 21)
 
 
 class ConfigError(ValueError):
@@ -387,25 +398,22 @@ def _fresh_draws(config: SimConfig, batch: int, bits: int):
     The batch draws the 2**bits codewords of its 256 trials from a
     stream of its own, ``SeedSequence([master_seed, batch, 1])``,
     codeword-major (codeword 0 of every trial first), each as n_t
-    (re, im) pairs of standard normals scaled to unit length, ``w``
-    codewords at a time, yielded (256, w, n_t).  ``standard_normal``
-    gives the same numbers however a draw is split into calls, so
-    codeword ``j`` of a trial depends on neither ``bits`` nor ``w``,
-    and ``w`` bounds the memory up to 20 bits.
+    (re, im) pairs of standard normals scaled to unit length in place,
+    ``w`` codewords at a time (at most ``_DRAW_CHUNK`` normals), yielded
+    as a (256, w, n_t) view.  ``standard_normal`` gives the same numbers
+    however a draw is split into calls, so codeword ``j`` of a trial
+    depends on neither ``bits`` nor ``w``, and ``w`` bounds the memory
+    up to 20 bits.
     """
     t = TRIALS_PER_BATCH
     rng = np.random.default_rng([int(config.master_seed), batch, 1])
     size = 1 << bits
-    # a chunk's gains for one trial fit the gain budget, and its draws
-    # for a whole batch take a quarter of it
-    step = max(1, min(size, _GAIN_BUDGET // config.n_subcarriers,
-                      _GAIN_BUDGET // (8 * t * config.n_t)))
+    step = max(1, min(size, _DRAW_CHUNK // (2 * t * config.n_t)))
     for k in range(0, size, step):
-        shape = (min(step, size - k), t, config.n_t, 2)
-        out = np.empty((t,) + shape[:1] + shape[2:])
-        out[...] = rng.standard_normal(shape).swapaxes(0, 1)
-        out /= np.sqrt(np.einsum("twij,twij->tw", out, out))[..., None, None]
-        yield out.view(np.complex128)[..., 0]
+        g = rng.standard_normal((min(step, size - k), t, config.n_t, 2))
+        g /= np.sqrt(np.einsum("wtij,wtij->wt", g, g))[..., None, None]
+        yield g.view(np.complex128)[..., 0].swapaxes(0, 1)
+        del g  # dropped before the next chunk is drawn
 
 
 def _beam_directions(

@@ -212,6 +212,28 @@ def test_duplicate_curves_rejected_from_every_source(tmp_path):
         )
 
 
+@pytest.mark.parametrize("bad", [-1, 21])
+def test_out_of_range_curve_rejected_at_load(tmp_path, bad):
+    with pytest.raises(ConfigError):
+        parse_config(preset="fig2-miso", overrides={"curves": [None, bad]})
+    with pytest.raises(ConfigError):
+        parse_config(
+            path=str(tiny_config(tmp_path, curves=[{"feedback_bits": bad}]))
+        )
+    parse_config(preset="fig2-miso", overrides={"curves": [None, 0, 20]})
+
+
+def test_out_of_range_curve_exits_1_before_the_run(tmp_path, capsys):
+    out = tmp_path / "x"
+    code = main([
+        "--preset", "fig2-miso", "--feedback-bits", "perfect,25",
+        "--out-dir", str(out),
+    ])
+    assert code == 1
+    assert "feedback_bits" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_unwritable_out_dir_exits_2(tmp_path, capsys):
     blocker = tmp_path / "blocked"
     blocker.write_text("a file, not a directory")

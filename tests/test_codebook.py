@@ -380,6 +380,43 @@ def test_kernel_scans_a_chunk_source(rng):
         assert np.array_equal(beam[i], words[np.arange(t)[:, None], idx[i]])
 
 
+def test_tile_size_does_not_change_the_search(rng, monkeypatch):
+    """Tiles of 7 codewords of one group, the 2**17-gain default (four
+    stacks of groups on the last run of codewords) and the whole stack
+    in one tile give the same index and codeword for every prefix, and
+    gains equal to rounding: for a shared codebook, as a ``Codebook``
+    and as an array, for per-group codebooks, and for a chunk source
+    whose chunk ends fall inside and on prefix ends."""
+    t, n, k = 128, 64, 64
+    h = rng.standard_normal((t, n, 2, 2)) + 1j * rng.standard_normal((t, n, 2, 2))
+    tol = gain_tolerance(h)
+    shared = gen_rvq(2, 6, seed=5)
+    per_group = np.stack([gen_rvq(2, 6, seed=20 + s).vectors
+                          for s in range(t)])
+    sizes = [64, 2, 4, 16]
+    bounds = (0, 3, 16, 64)
+    sources = (
+        lambda: shared,
+        lambda: shared.vectors,
+        lambda: per_group,
+        lambda: (per_group[:, lo:hi] for lo, hi in zip(bounds, bounds[1:])),
+    )
+    assert lfbeam.codebook._GAIN_BUDGET == 1 << 17
+    # stacks of 42 groups on the last run of 48 codewords
+    assert -(-t // ((1 << 17) // (n * (k - 16)))) == 4
+    for words in sources:
+        found = []
+        for budget in (7 * n, 1 << 17, t * n * k):
+            monkeypatch.setattr(lfbeam.codebook, "_GAIN_BUDGET", budget)
+            found.append(_best_codewords(h, words(), sizes))
+        idx, gain, beam = found[0]
+        assert idx.shape == (len(sizes), t, n)
+        for idx_b, gain_b, beam_b in found[1:]:
+            assert np.array_equal(idx_b, idx)
+            assert np.array_equal(beam_b, beam)
+            assert (np.abs(gain_b - gain) <= tol).all()
+
+
 def test_prefix_tie_across_chunk_boundary_breaks_low(monkeypatch):
     """Chunks of three: e1 first wins at index 2, and its copies at 3
     and 4, past the boundary, do not displace it in any prefix; where

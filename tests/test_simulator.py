@@ -1,6 +1,9 @@
 import multiprocessing
 import multiprocessing.pool
+import os
 import pickle
+import subprocess
+import sys
 import threading
 import time
 import tracemalloc
@@ -423,11 +426,13 @@ def test_fresh_curves_share_one_codebook_per_trial(monkeypatch):
 
 
 def test_codeword_chunks_do_not_change_results(monkeypatch):
-    """A fresh B=8 batch drawn and scanned in 4-codeword chunks picks
-    the same beams and gives the same totals as one 256-codeword chunk,
-    in two batches."""
+    """A fresh B=8 batch picks the same beams and gives the same totals,
+    in two batches, whether its 256 codewords are drawn in one chunk and
+    scored in 1 MB tiles, drawn in 64 chunks of 4 codewords, or scored
+    in tiles of 7 codewords of one trial (the last one ragged)."""
     cfg = SimConfig(feedback_bits=8, **FAST)
     active = np.ones((1, len(cfg.snr_db_points)), dtype=bool)
+    per_codeword = 2 * TRIALS_PER_BATCH * cfg.n_t  # normals per codeword
 
     def run(batch):
         _, h, _, _ = _draw_batch(cfg, batch)
@@ -437,13 +442,18 @@ def test_codeword_chunks_do_not_change_results(monkeypatch):
     batches = (0, 3)
     whole = [run(batch) for batch in batches]
     assert len(list(lfbeam.simulator._fresh_draws(cfg, 0, 8))) == 1
-    for module in (lfbeam.codebook, lfbeam.simulator):
-        monkeypatch.setattr(module, "_GAIN_BUDGET", 1 << 14)
-    assert len(list(lfbeam.simulator._fresh_draws(cfg, 0, 8))) == 64
-    for (beams, totals), batch in zip(whole, batches):
-        beams_c, totals_c = run(batch)
-        assert np.array_equal(beams_c, beams)
-        assert np.array_equal(totals_c, totals)
+    for draw_chunk, budget, chunks in (
+        (4 * per_codeword, lfbeam.codebook._GAIN_BUDGET, 64),
+        (lfbeam.simulator._DRAW_CHUNK, 7 * cfg.n_subcarriers, 1),
+    ):
+        monkeypatch.setattr(lfbeam.simulator, "_DRAW_CHUNK", draw_chunk)
+        monkeypatch.setattr(lfbeam.codebook, "_GAIN_BUDGET", budget)
+        assert len(list(lfbeam.simulator._fresh_draws(cfg, 0, 8))) == chunks
+        for (beams, totals), batch in zip(whole, batches):
+            beams_c, totals_c = run(batch)
+            assert np.array_equal(beams_c, beams)
+            assert np.array_equal(totals_c, totals)
+        monkeypatch.undo()
 
 
 def test_fresh_curve_does_not_depend_on_the_largest_curve():
@@ -458,10 +468,11 @@ def test_fresh_curve_does_not_depend_on_the_largest_curve():
 
 
 def test_fresh_codebook_memory_is_bounded():
-    """One fresh B=14 block on 8 subcarriers peaks below 32 MB, a
-    quarter of the 128 MB that the batch's 16,384 codewords of 256
-    trials take when drawn at once; the codeword chunks keep it near the
-    gain budget (8 MB) plus the chunk's draws and features."""
+    """One fresh B=14 block on 8 subcarriers peaks below 12 MB (9.4 MB
+    measured), under a tenth of the 128 MB that the batch's 16,384
+    codewords of 256 trials take when drawn at once; the codeword chunks
+    keep it near one chunk's draws and features (2 MB each), the
+    temporaries of their lift and one 1 MB gain tile."""
     cfg = SimConfig(n_subcarriers=8, feedback_bits=14, snr_db_points=(6.0,))
     whole = (1 << 14) * TRIALS_PER_BATCH * cfg.n_t * 16
     assert whole == 128 << 20
@@ -472,7 +483,50 @@ def test_fresh_codebook_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert totals[0, 0, 0] == 256 * cfg.n_subcarriers
-    assert peak < whole // 4
+    assert peak < 12 << 20
+
+
+# Run in a fresh interpreter: two warm-up blocks at each geometry, then
+# the minor page faults of one more block of each.
+_HEAP_SCRIPT = """
+import resource
+from dataclasses import replace
+import numpy as np
+from lfbeam.simulator import SimConfig, _run_block
+geometries = [
+    ("miso", SimConfig(snr_db_points=(0.0, 4.0, 8.0, 12.0)),
+     [None, 1, 2, 4, 8]),
+    ("mimo22", SimConfig(n_r=2, modulation="qpsk",
+                         snr_db_points=(0.0, 4.0, 8.0)), [None, 8]),
+    ("estimated", SimConfig(csi_mode="estimated", fresh_codebook=False,
+                            snr_db_points=(24.0,)), [6]),
+]
+for name, cfg, curves in geometries:
+    configs = [replace(cfg, feedback_bits=b) for b in curves]
+    active = np.ones((len(configs), len(cfg.snr_db_points)), bool)
+    for batch in (0, 1):
+        _run_block(configs, active, batch)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    _run_block(configs, active, 2)
+    print(name, resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="the fault count is glibc malloc's")
+def test_warm_blocks_do_not_fault_the_heap_in():
+    """Once warm, a block reuses the heap: fewer than 64 minor page
+    faults per block on the miso (fresh B = 1 to 8), mimo22 (B = 8) and
+    estimated-CSI (fixed B = 6) geometries.  A heap that glibc hands
+    back to the system after every block takes 900 to 5,000."""
+    src = os.path.dirname(os.path.dirname(lfbeam.simulator.__file__))
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
+    run = subprocess.run([sys.executable, "-c", _HEAP_SCRIPT], env=env,
+                         capture_output=True, text=True, check=True)
+    faults = {name: int(n) for name, n in map(str.split,
+                                              run.stdout.splitlines())}
+    assert list(faults) == ["miso", "mimo22", "estimated"]
+    assert all(n < 64 for n in faults.values()), faults
 
 
 def test_duplicate_curves_rejected():
