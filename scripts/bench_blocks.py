@@ -4,17 +4,23 @@
 Run from the root of a checkout of the repository:
 
     python3 scripts/bench_blocks.py --out BENCH.json
+    python3 scripts/bench_blocks.py --against HEAD~1 --out AB.json
 
 For each workload of ``perfbench/workloads.py`` the sweep's curves are
 built as the command line builds them, every (curve, SNR) pair running,
 and these stages are timed on the blocks of batches 1 to 4 (trials
-256 to 1279) at master seed 1, best of 8 rounds:
+256 to 1279) at master seed 1, best of 12 rounds; a round times every
+stage of every workload once, so each stage's best round comes from the
+fastest phase of the machine over the whole run:
 
 - ``draw``: ``_draw_batch`` (bits, taps, pilot and data noise, FFT);
-- ``receiver``: ``_receiver_links``, once per block or per SNR point
-  when the pilot power follows the SNR (LS estimate, beam selection for
-  every curve, fixed codebooks made, combiners, each curve's effective
-  gains ``g`` and combined noise ``z``);
+- ``search``: the ``_beam_directions`` calls of the receiver side, with
+  the receiver's channel knowledge given (eigenvectors, codeword
+  searches, fixed codebooks made);
+- ``links``: the rest of ``_receiver_links``, once per block or per SNR
+  point when the pilot power follows the SNR, with the beams given (LS
+  estimate, combiners, each curve's effective gains ``g`` and combined
+  noise ``z``);
 - ``detect``: the rest of ``_run_block`` for all pairs, with the draws
   and the receiver side of the block given (``sqrt(rho) * g * x + z``,
   hard decisions and error counts);
@@ -32,6 +38,16 @@ A table goes to standard output and a JSON record, with the machine,
 Python, numpy and BLAS versions and the line count of ``src/``, to
 ``--out``.  The recorded commit ends in ``-dirty`` when tracked files
 differ from it.  One BLAS thread is used, as in the benchmark.
+
+``--against REV`` compares two trees instead: ``git archive REV`` is
+extracted into a temporary directory, and this script times the stages
+of that tree's ``src/`` and of this checkout's in fresh subprocesses,
+launched the same way and alternating which tree runs first, for
+``--pairs`` pairs.  The record holds, per workload and stage, the
+median and the range of the paired ratios (this checkout's time over
+REV's; below 1 is faster), each side's median time, and the ``src/``
+line count of each side.  The machine's speed drifts between runs, so
+a gain is quoted from the paired ratios, not from two absolute records.
 """
 
 import os
@@ -41,40 +57,28 @@ for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
 
 import argparse
 import glob
+import io
 import json
 import resource
+import statistics
 import subprocess
 import sys
+import tarfile
+import tempfile
 import time
 import tracemalloc
 from dataclasses import replace
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]
 
 import numpy as np  # noqa: E402
 
-import lfbeam.simulator as sim  # noqa: E402
-from lfbeam.cli import parse_config  # noqa: E402
-from measure import environment  # noqa: E402
-from workloads import WORKLOADS  # noqa: E402
-
+STAGES = ("draw", "search", "links", "detect", "block")
 SEED = 1  # master seed of every workload
-BLOCKS = 4  # the blocks of batches 1 to BLOCKS are timed
-REPEATS = 8  # rounds; each stage's best round is kept
+BATCHES = range(1, 5)  # the blocks of these batches are timed
+REPEATS = 12  # rounds; each stage's best round is kept
 SWEEPS = 3  # runs of the pool sweep at each worker count; the best is kept
 POOL_WORKLOAD = "estimated-2w"
-
-
-def best_ms(fn, batches):
-    """Best over ``REPEATS`` rounds of the mean time of ``fn(batch)``."""
-    best = float("inf")
-    for _ in range(REPEATS):
-        t0 = time.perf_counter()
-        for batch in batches:
-            fn(batch)
-        best = min(best, (time.perf_counter() - t0) / len(batches))
-    return best * 1e3
 
 
 def receiver_side(configs, active, batch, h, pilot, noise):
@@ -92,21 +96,36 @@ def receiver_side(configs, active, batch, h, pilot, noise):
     return links
 
 
-def src_lines():
+def src_lines(root=ROOT):
     total = 0
-    for path in glob.glob(os.path.join(ROOT, "src", "lfbeam", "*.py")):
+    for path in glob.glob(os.path.join(root, "src", "lfbeam", "*.py")):
         with open(path) as f:
             total += sum(1 for _ in f)
     return total
 
 
-def bench(wl):
+def load(src):
+    """Import the library from ``src`` and this checkout's benchmark
+    helpers, which import it too."""
+    global sim, parse_config, environment, WORKLOADS
+    sys.path[:0] = [src, os.path.join(ROOT, "perfbench")]
+    import lfbeam.simulator as sim
+    from lfbeam.cli import parse_config
+    from measure import environment
+    from workloads import WORKLOADS
+
+
+def stage_fns(wl):
+    """The number of running pairs and the timed stages of workload
+    ``wl``, each a function of a batch, with the draws, beams and links
+    that the later stages are given computed once."""
     config, curves = parse_config(
         preset=wl.preset, overrides=wl.config_overrides(SEED)
     )
     configs = [replace(config, feedback_bits=bits) for bits in curves]
     active = np.ones((len(configs), len(config.snr_db_points)), dtype=bool)
-    batches = range(1, BLOCKS + 1)
+    real_search = sim._beam_directions
+    real_draw, real_links = sim._draw_batch, sim._receiver_links
 
     def draw(batch):
         return sim._draw_batch(config, batch)
@@ -115,37 +134,83 @@ def bench(wl):
         _, h, pilot, noise = draws[batch]
         return receiver_side(configs, active, batch, h, pilot, noise)
 
-    def block(batch):
-        return sim._run_block(configs, active, batch)
+    def record(*args):
+        beams = real_search(*args)
+        searches[args[-1]].append((args, beams))
+        return beams
 
-    out = {"pairs": int(active.sum())}
-    draws = {batch: draw(batch) for batch in batches}
-    out["draw_ms"] = best_ms(draw, batches)
-    links = {batch: receiver(batch) for batch in batches}
-    out["receiver_ms"] = best_ms(receiver, batches)
-    # detection alone: _run_block with its draws and receiver side given
-    saved = sim._draw_batch, sim._receiver_links
-    try:
+    def search(batch):
+        for args, _ in searches[batch]:
+            real_search(*args)
+
+    def links_only(batch):
+        replay = iter(searches[batch])
+        sim._beam_directions = lambda *args: next(replay)[1]
+        try:
+            receiver(batch)
+        finally:
+            sim._beam_directions = real_search
+
+    def detect(batch):
+        # _run_block with its draws and receiver side given
         sim._draw_batch = lambda cfg, batch: draws[batch]
         sim._receiver_links = (
             lambda cfgs, running, snr_db, h, pilot, noise, batch:
             links[batch][snr_db]
         )
-        out["detect_ms"] = best_ms(block, batches)
-    finally:
-        sim._draw_batch, sim._receiver_links = saved
-    block(batches[0])  # settle the heap before counting faults
-    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-    out["block_ms"] = best_ms(block, batches)
-    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
-    out["minflt_per_block"] = faults / (len(batches) * REPEATS)
-    tracemalloc.start()
+        try:
+            block(batch)
+        finally:
+            sim._draw_batch, sim._receiver_links = real_draw, real_links
+
+    def block(batch):
+        return sim._run_block(configs, active, batch)
+
+    draws = {batch: draw(batch) for batch in BATCHES}
+    # each search's inputs and beams, recorded on one pass of the
+    # receiver side
+    searches = {batch: [] for batch in BATCHES}
+    sim._beam_directions = record
     try:
-        block(batches[0])
-        peak = tracemalloc.get_traced_memory()[1]
-        out["tracemalloc_peak_mb"] = peak / 2**20
+        links = {batch: receiver(batch) for batch in BATCHES}
     finally:
-        tracemalloc.stop()
+        sim._beam_directions = real_search
+    stages = dict(zip(STAGES, (draw, search, links_only, detect, block)))
+    return int(active.sum()), stages
+
+
+def bench():
+    """Each workload's stage times, the best of ``REPEATS`` rounds of the
+    mean time per block.  A round times every stage of every workload
+    once, so each stage's rounds are spread over the whole run and its
+    best round is taken from the machine's fastest phase in that time."""
+    prepared = {name: stage_fns(wl) for name, wl in WORKLOADS.items()}
+    out = {name: {"pairs": pairs} for name, (pairs, _) in prepared.items()}
+    faults = dict.fromkeys(prepared, 0)
+    for name, (_, stages) in prepared.items():
+        stages["block"](BATCHES[0])  # settle the heap before counting faults
+    for _ in range(REPEATS):
+        for name, (_, stages) in prepared.items():
+            for stage, fn in stages.items():
+                before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+                t0 = time.perf_counter()
+                for batch in BATCHES:
+                    fn(batch)
+                ms = (time.perf_counter() - t0) / len(BATCHES) * 1e3
+                after = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+                key = f"{stage}_ms"
+                out[name][key] = min(out[name].get(key, ms), ms)
+                if stage == "block":
+                    faults[name] += after - before
+    for name, (_, stages) in prepared.items():
+        out[name]["minflt_per_block"] = faults[name] / (len(BATCHES) * REPEATS)
+        tracemalloc.start()
+        try:
+            stages["block"](BATCHES[0])
+            peak = tracemalloc.get_traced_memory()[1]
+            out[name]["tracemalloc_peak_mb"] = peak / 2**20
+        finally:
+            tracemalloc.stop()
     return out
 
 
@@ -167,11 +232,75 @@ def bench_pool(wl):
     return out
 
 
+def against(rev, pairs):
+    """Paired stage timings of this checkout against ``git archive rev``."""
+    tar = subprocess.run(["git", "-C", ROOT, "archive", rev],
+                         capture_output=True, check=True).stdout
+    with tempfile.TemporaryDirectory() as tmp:
+        base = os.path.join(tmp, "tree")
+        with tarfile.open(fileobj=io.BytesIO(tar)) as archive:
+            archive.extractall(base, filter="data")
+        trees = {"base": base, "this": ROOT}
+        runs = {side: [] for side in trees}
+        for i in range(pairs):
+            for side in (("base", "this") if i % 2 == 0 else ("this", "base")):
+                out = os.path.join(tmp, "stages.json")
+                subprocess.run(
+                    [sys.executable, os.path.abspath(__file__), "--out", out,
+                     "--src", os.path.join(trees[side], "src"), "--no-pool"],
+                    check=True, stdout=subprocess.DEVNULL,
+                )
+                with open(out) as f:
+                    runs[side].append(json.load(f)["workloads"])
+        lines = {side: src_lines(tree) for side, tree in trees.items()}
+    result = {}
+    for name in runs["this"][0]:
+        result[name] = {}
+        for stage in STAGES:
+            key = f"{stage}_ms"
+            base_ms = [r[name][key] for r in runs["base"]]
+            this_ms = [r[name][key] for r in runs["this"]]
+            ratios = [b / a for a, b in zip(base_ms, this_ms)]
+            result[name][stage] = {
+                "ratio_median": statistics.median(ratios),
+                "ratio_min": min(ratios),
+                "ratio_max": max(ratios),
+                "base_ms": statistics.median(base_ms),
+                "this_ms": statistics.median(this_ms),
+            }
+    return {"against": rev, "pairs": pairs, "src_lines": lines,
+            "workloads": result}
+
+
 def main(argv=None):
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("--out", required=True, help="JSON record to write")
+    p.add_argument("--against", metavar="REV",
+                   help="time this checkout against git revision REV")
+    p.add_argument("--pairs", type=int, default=10,
+                   help="subprocess pairs for --against (default 10)")
+    p.add_argument("--src", default=os.path.join(ROOT, "src"),
+                   help="the library sources to time (default: this "
+                        "checkout's)")
+    p.add_argument("--no-pool", action="store_true",
+                   help="skip the pool's sweeps")
     args = p.parse_args(argv)
+    load(args.src)
     env = environment()
+    if args.against:
+        record = {"environment": env, "seed": SEED, "blocks": len(BATCHES),
+                  "repeats": REPEATS, **against(args.against, args.pairs)}
+        print(f"this checkout against {args.against}, {args.pairs} pairs: "
+              "median [min, max] of the paired time ratios")
+        print(f"{'workload':14s} " + " ".join(f"{s:>19s}" for s in STAGES))
+        for name, stages in record["workloads"].items():
+            print(f"{name:14s} " + " ".join(
+                "{ratio_median:5.3f} [{ratio_min:5.3f}, {ratio_max:5.3f}]"
+                .format(**stages[s]) for s in STAGES))
+        with open(args.out, "w") as f:
+            json.dump(record, f, indent=1)
+            f.write("\n")
+        return 0
     dirty = subprocess.run(
         ["git", "-C", ROOT, "status", "--porcelain", "--untracked-files=no"],
         capture_output=True, text=True,
@@ -181,27 +310,29 @@ def main(argv=None):
     record = {
         "environment": env,
         "seed": SEED,
-        "blocks": BLOCKS,
+        "blocks": len(BATCHES),
         "repeats": REPEATS,
-        "src_lines": src_lines(),
+        "src_lines": src_lines(os.path.dirname(os.path.abspath(args.src))),
         "workloads": {},
     }
     print(f"{env['cpu']}, {env['nproc']} CPUs, Python {env['python']}, "
           f"numpy {env['numpy']}, {env['blas']}")
-    print(f"{'workload':14s} {'pairs':>5s} {'draw':>8s} {'receiver':>9s} "
-          f"{'detect':>8s} {'block':>8s} {'minflt':>7s} {'peak MB':>8s}"
-          "  (ms per block)")
-    for name, wl in WORKLOADS.items():
-        r = bench(wl)
-        record["workloads"][name] = r
+    print(f"{'workload':14s} {'pairs':>5s} {'draw':>8s} {'search':>8s} "
+          f"{'links':>8s} {'detect':>8s} {'block':>8s} {'minflt':>7s} "
+          f"{'peak MB':>8s}  (ms per block)")
+    record["workloads"] = bench()
+    for name, r in record["workloads"].items():
         print(f"{name:14s} {r['pairs']:5d} {r['draw_ms']:8.2f} "
-              f"{r['receiver_ms']:9.2f} {r['detect_ms']:8.2f} "
-              f"{r['block_ms']:8.2f} {r['minflt_per_block']:7.0f} "
+              f"{r['search_ms']:8.2f} {r['links_ms']:8.2f} "
+              f"{r['detect_ms']:8.2f} {r['block_ms']:8.2f} "
+              f"{r['minflt_per_block']:7.0f} "
               f"{r['tracemalloc_peak_mb']:8.2f}")
-    pool = bench_pool(WORKLOADS[POOL_WORKLOAD])
-    record["pool"] = {"workload": POOL_WORKLOAD, **pool}
-    print(f"{POOL_WORKLOAD} sweep: {pool['sweep_1w_s']:.3f} s at 1 worker, "
-          f"{pool['sweep_2w_s']:.3f} s at 2, speedup {pool['speedup']:.2f}")
+    if not args.no_pool:
+        pool = bench_pool(WORKLOADS[POOL_WORKLOAD])
+        record["pool"] = {"workload": POOL_WORKLOAD, **pool}
+        print(f"{POOL_WORKLOAD} sweep: {pool['sweep_1w_s']:.3f} s at 1 "
+              f"worker, {pool['sweep_2w_s']:.3f} s at 2, speedup "
+              f"{pool['speedup']:.2f}")
     with open(args.out, "w") as f:
         json.dump(record, f, indent=1)
         f.write("\n")

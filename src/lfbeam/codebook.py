@@ -168,25 +168,59 @@ def select_beamformer(
     return QuantizationResult(int(index[0, 0]), distortion, metric)
 
 
-@functools.lru_cache(maxsize=None)
-def _pairs(dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """Index pairs i < j of a ``dim``-vector, built once per ``dim``."""
-    return np.triu_indices(dim, 1)
-
-
 def _lift(x: np.ndarray) -> np.ndarray:
     """Real features of the Hermitian outer products of ``x`` (..., m):
     ``|x_i|^2``, then ``Re(conj(x_i) x_j), Im(conj(x_i) x_j)`` for each
-    i < j, m*m reals in all.
+    i < j, m*m reals in all, written into one new array with the
+    layout of a C-ordered ``x``.
 
     For a row ``a`` and a vector ``w``, ``|a w|^2`` is the dot product of
     ``_lift(conj(a))`` with ``_lift(w)`` whose off-diagonal entries are
     doubled (see :func:`_best_codewords`).
     """
-    i, j = _pairs(x.shape[-1])
+    m = x.shape[-1]
+    out = np.empty(x.shape[:-1] + (m * m,))
+    cross = out[..., m:].view(np.complex128)
     xc = x.conj()
-    cross = xc.take(i, axis=-1) * x.take(j, axis=-1)
-    return np.concatenate([(xc * x).real, cross.view(np.float64)], axis=-1)
+    k = 0
+    for i in range(m - 1):
+        np.multiply(xc[..., i : i + 1], x[..., i + 1 :],
+                    out=cross[..., k : k + m - 1 - i])
+        k += m - 1 - i
+    out[..., :m] = np.multiply(xc, x, out=xc).real
+    return out
+
+
+def _channel_features(h: np.ndarray) -> np.ndarray:
+    """``sum_r _lift(conj(H_r))`` for a (t, n, n_r, m) channel stack,
+    with the off-diagonal entries doubled: (t, n, m*m).
+
+    Each entry is built from the planes (t, n, n_r) of two transmit
+    antennas, with the lift's products in the lift's operand order
+    (``conj(x_i) x_j`` is ``h_i conj(h_j)``) summed over r in order, so
+    it equals the summed lift bit for bit without its temporaries.
+    """
+    t, n, n_r, m = h.shape
+    feats = np.empty((t, n, m * m))
+    cross = feats[..., m:].view(np.complex128)
+    p = np.empty((t, n, n_r), np.complex128)
+    k = 0
+    for i in range(m):
+        for j in range(i, m):
+            np.multiply(h[..., i], np.conjugate(h[..., j], out=p), out=p)
+            if i == j:
+                part, out = p.real, feats[..., i]
+            else:
+                part, out, k = p, cross[..., k], k + 1
+            np.copyto(out, part[..., 0])
+            if n_r > 1:
+                out += 0.0  # numpy's sum starts from +0.0
+                for r in range(1, n_r):
+                    out += part[..., r]
+    # the off-diagonal doubling goes on the channel side: scaling by 2
+    # is exact, and the codewords outnumber the channels
+    feats[..., m:] *= 2.0
+    return feats
 
 
 def _best_codewords(
@@ -197,36 +231,38 @@ def _best_codewords(
     ``h`` is a (t, n, n_r, dim) stack of channel matrices.  ``words``
     holds unit codewords: a :class:`Codebook` or a (k, dim) array shared
     by the stack, a (t, k, dim) array with one codebook per group, or a
-    chunk source, an iterator of (t, w, dim) arrays, the next ``w``
-    codewords of each group, whose total ``max(sizes)`` gives.  Returns
-    ``(index, gain, beam)``, (t, n) each and (t, n, dim) for the winning
-    codeword; with ``sizes``, a list of prefix sizes, with a leading
-    axis: the best of the first ``s`` codewords for each ``s``.
+    chunk source, an iterator of codeword-major (w, t, dim) arrays, the
+    next ``w`` codewords of every group, whose total ``max(sizes)``
+    gives.  Returns ``(index, gain, beam)``, (t, n) each and (t, n, dim)
+    for the winning codeword; with ``sizes``, a list of prefix sizes,
+    with a leading axis: the best of the first ``s`` codewords for each
+    ``s``.
 
     Gains are one real GEMM in lifted form, the channel's features
     ``sum_r _lift(conj(H_r))`` times the codewords' ``_lift(w)`` (a
-    codebook's cached ``features``, else each array or chunk lifted
-    once), so the cost does not grow with n_r.  Codewords are scanned
-    once, in order: each run of codewords between prefix ends is scored
-    in tiles of whole groups within ``_GAIN_BUDGET`` gains, a group's
-    tile the same product whatever the stack or block size, and merged
-    into the best so far.  A chunk is dropped once scored, so the
-    winners' vectors are kept with their index and gain.  The first
-    maximizer wins, so ties break to the lowest index.
+    codebook's cached ``features``, else each chunk lifted once into one
+    codeword-major buffer), so the cost does not grow with n_r.
+    Codewords are scanned once, in order: each run of codewords between
+    prefix ends is scored in tiles of whole groups within
+    ``_GAIN_BUDGET`` gains, a group's tile the same product whatever
+    the stack or block size (one 2-D product for a shared codebook), and
+    merged into the best so far.  A chunk is dropped once scored, so the
+    winners' vectors at every prefix end are gathered from it in one
+    ``take`` and kept with their index and gain.  The first maximizer
+    wins, so ties break to the lowest index.
     """
     t, n, n_r, dim = h.shape
-    feats = _lift(h.conj())
-    feats = feats.sum(axis=2) if n_r > 1 else feats[:, :, 0]
-    # the off-diagonal doubling goes on the channel side: scaling by 2
-    # is exact, and the codewords outnumber the channels
-    feats[:, :, dim:] *= 2.0
+    feats = _channel_features(h)
+    flat = feats.reshape(t * n, -1)
     ends = sorted(set(sizes or ()))
     last = ends[-1] if ends else None
     lifted = None
     if isinstance(words, Codebook):
-        lifted, words = words.features[:last], words.vectors
+        lifted, words = words.features[:last, None], words.vectors
     if isinstance(words, np.ndarray):
-        words = [words[..., :last, :]]
+        # one codeword-major chunk, (k, 1, dim) when shared
+        words = [words[:last, None] if words.ndim == 2 else
+                 np.ascontiguousarray(words[:, :last].swapaxes(0, 1))]
     group = np.repeat(np.arange(t), n)
     idx = np.empty(t * n, np.intp)
     gain = np.empty(t * n)
@@ -234,10 +270,9 @@ def _best_codewords(
     for chunk in words:
         if lifted is None:
             lifted = _lift(chunk)
-        # a shared codebook is every group's
-        chunk = np.broadcast_to(chunk, (t,) + chunk.shape[-2:])
-        lifted = np.broadcast_to(lifted, (t,) + lifted.shape[-2:])
-        hi = lo + chunk.shape[1]
+        # one group of codewords is every group's
+        shared = chunk.shape[1] == 1
+        hi = lo + chunk.shape[0]
         cuts = sorted({lo, hi}.union(e for e in ends if lo < e < hi))
         snaps = []
         for a, b in zip(cuts, cuts[1:]):
@@ -245,12 +280,17 @@ def _best_codewords(
             stack = max(1, _GAIN_BUDGET // (n * width))
             for c in range(a, b, width):
                 w = min(c + width, b) - c
-                cols = lifted[:, c - lo : c - lo + w].swapaxes(-1, -2)
+                # a group's (m*m, w) columns, read in place
+                cols = lifted[c - lo : c - lo + w]
+                cols = cols[:, 0].T if shared else cols.transpose(1, 2, 0)
                 # where each row of a tile starts in its flat gains
                 starts = np.arange(0, min(stack, t) * n * w, w)
                 for r in range(0, t, stack):
                     rows = slice(r * n, (r + stack) * n)
-                    tile = (feats[r : r + stack] @ cols[r : r + stack])
+                    if shared:
+                        tile = flat[rows] @ cols
+                    else:
+                        tile = feats[r : r + stack] @ cols[r : r + stack]
                     tile = tile.reshape(-1, w)
                     best = tile.argmax(axis=1)
                     score = tile.take(best + starts[: len(best)])
@@ -263,9 +303,12 @@ def _best_codewords(
                         np.copyto(gain[rows], score, where=better)
             snaps.append((b, idx.copy(), gain.copy()))
         # the winners' vectors at every cut, gathered from this chunk in
-        # one pass; winners from earlier chunks keep theirs
+        # one take; winners from earlier chunks keep theirs
         at = np.stack([i for _, i, _ in snaps]) - lo
-        won = chunk[group, np.maximum(at, 0)]
+        at_row = np.maximum(at, 0) * chunk.shape[1]
+        if not shared:
+            at_row += group
+        won = chunk.reshape(-1, dim).take(at_row, axis=0)
         if lo:
             np.copyto(won, vec, where=(at < 0)[..., None])
         for (b, i, score), v in zip(snaps, won):

@@ -44,17 +44,28 @@ def mat_inverse(a: np.ndarray) -> np.ndarray:
     return inv
 
 
+def _sum_rows(x: np.ndarray) -> np.ndarray:
+    """``x.sum(axis=1)`` of a 2-D ``x``, bit for bit: one or two columns
+    are added directly, without the reduction's cost per row."""
+    if x.shape[1] > 2:
+        return x.sum(axis=1)
+    # numpy's sum starts from +0.0, so -0.0 sums read +0.0
+    s = x[:, 0] + 0.0
+    if x.shape[1] == 2:
+        s += x[:, 1]
+    return s
+
+
 def _phase_fix_rows(v: np.ndarray) -> np.ndarray:
-    """Rotate each row so its first nonzero entry is real and >= 0."""
-    mag = np.abs(v)
-    nonzero = mag > 0.0
-    first = np.argmax(nonzero, axis=1)  # first True per row; 0 if none
-    rows = np.arange(v.shape[0])
-    lead = v[rows, first]
-    lead_mag = mag[rows, first]
-    safe = np.where(lead_mag > 0.0, lead_mag, 1.0)
-    phase = np.where(lead_mag > 0.0, np.conj(lead) / safe, 1.0)
-    return v * phase[:, None]
+    """Rotate each row of ``v`` in place so its first nonzero entry is
+    real and >= 0, and return it."""
+    lead = v[:, -1]
+    for j in range(v.shape[1] - 2, -1, -1):
+        lead = np.where(v[:, j] != 0.0, v[:, j], lead)
+    lead_mag = np.abs(lead)
+    ok = lead_mag > 0.0
+    v *= np.where(ok, np.conj(lead) / np.where(ok, lead_mag, 1.0), 1.0)[:, None]
+    return v
 
 
 def dominant_right_eigvec_batch(
@@ -83,16 +94,18 @@ def dominant_right_eigvec_batch(
     mats = np.asarray(mats, dtype=np.complex128)
     if mats.shape[1] == 1:
         v = mats[:, 0, :].conj()
-        norms = np.linalg.norm(v, axis=1)
+        # np.linalg.norm's arithmetic
+        norms = np.sqrt(_sum_rows((v.conj() * v).real))
         zero = norms == 0.0
-        v = v / np.where(zero, 1.0, norms)[:, None]
-        v[zero] = 0.0
-        v[zero, 0] = 1.0
+        v /= np.where(zero, 1.0, norms)[:, None]
+        if zero.any():
+            v[zero] = 0.0
+            v[zero, 0] = 1.0
     elif mats.shape[2] == 2:
         a1, a2 = mats[:, :, 0], mats[:, :, 1]
-        g11 = (a1.real**2 + a1.imag**2).sum(axis=1)
-        g22 = (a2.real**2 + a2.imag**2).sum(axis=1)
-        g12 = (a1.conj() * a2).sum(axis=1)
+        g11 = _sum_rows(a1.real**2 + a1.imag**2)
+        g22 = _sum_rows(a2.real**2 + a2.imag**2)
+        g12 = _sum_rows(a1.conj() * a2)
         half = 0.5 * (g11 - g22)
         root = np.hypot(half, np.abs(g12))
         top = half >= 0.0
@@ -102,11 +115,12 @@ def dominant_right_eigvec_batch(
         norms = np.sqrt(2.0 * root * (root + np.abs(half)))
         zero = norms == 0.0
         v /= np.where(zero, 1.0, norms)[:, None]
-        v[zero] = (1.0, 0.0)
+        if zero.any():
+            v[zero] = (1.0, 0.0)
         return _phase_fix_rows(v), 0.5 * (g11 + g22) + root
     else:
         gram = np.einsum("nij,nik->njk", mats.conj(), mats)
         v = np.linalg.eigh(gram)[1][:, :, -1]
     v = _phase_fix_rows(v)
     av = np.einsum("nij,nj->ni", mats, v)
-    return v, (np.abs(av) ** 2).sum(axis=1)
+    return v, _sum_rows(np.abs(av) ** 2)

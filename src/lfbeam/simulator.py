@@ -52,7 +52,7 @@ from .channel import (
     _complex_normal, ls_estimate, make_phase_shift_training, to_subcarriers,
 )
 from .codebook import Codebook, _best_codewords, gen_rvq
-from .numerics import dominant_right_eigvec_batch
+from .numerics import _sum_rows, dominant_right_eigvec_batch
 from .beamforming import apply_power_constraint  # noqa: F401 (perfbench traces it here)
 
 __all__ = [
@@ -400,10 +400,11 @@ def _fresh_draws(config: SimConfig, batch: int, bits: int):
     codeword-major (codeword 0 of every trial first), each as n_t
     (re, im) pairs of standard normals scaled to unit length in place,
     ``w`` codewords at a time (at most ``_DRAW_CHUNK`` normals), yielded
-    as a (256, w, n_t) view.  ``standard_normal`` gives the same numbers
-    however a draw is split into calls, so codeword ``j`` of a trial
-    depends on neither ``bits`` nor ``w``, and ``w`` bounds the memory
-    up to 20 bits.
+    as a C-ordered codeword-major (w, 256, n_t) array, which the search
+    lifts and gathers from without a copy.  ``standard_normal`` gives the
+    same numbers however a draw is split into calls, so codeword ``j`` of
+    a trial depends on neither ``bits`` nor ``w``, and ``w`` bounds the
+    memory up to 20 bits.
     """
     t = TRIALS_PER_BATCH
     rng = np.random.default_rng([int(config.master_seed), batch, 1])
@@ -412,7 +413,7 @@ def _fresh_draws(config: SimConfig, batch: int, bits: int):
     for k in range(0, size, step):
         g = rng.standard_normal((min(step, size - k), t, config.n_t, 2))
         g /= np.sqrt(np.einsum("wtij,wtij->wt", g, g))[..., None, None]
-        yield g.view(np.complex128)[..., 0].swapaxes(0, 1)
+        yield g.view(np.complex128)[..., 0]
         del g  # dropped before the next chunk is drawn
 
 
@@ -474,6 +475,8 @@ def _receiver_links(
     combined data noise ``a^H noise`` under the unit MRC combiners ``a``
     built from ``hr``, and the mask of subcarriers whose effective
     channel ``hr_k b_k`` is nonzero (``g`` and ``z`` are 0 elsewhere).
+    Under perfect CSI ``a`` is ``conj(h b) / ||h b||``, so ``g`` is the
+    norm ``||h b||`` that scales the combiner, a real gain.
     """
     config = configs[0]
     if config.csi_mode == "estimated":
@@ -489,16 +492,23 @@ def _receiver_links(
     else:
         hr = h
     beams = _beam_directions(configs, running, hr, batch)
+    t, n = h.shape[:2]
     links = {}
     for c in running:
         # the combiner comes from the receiver's channel knowledge
         t_eff = np.einsum("tnij,tnj->tni", hr, beams[c])
-        t_norm = np.sqrt((np.abs(t_eff) ** 2).sum(axis=2))
+        t_norm = np.sqrt(_sum_rows(np.abs(t_eff).reshape(t * n, -1) ** 2))
+        t_norm = t_norm.reshape(t, n)
         ok = t_norm > 0.0
         comb = t_eff.conj() / np.where(ok, t_norm, 1.0)[:, :, None]
-        comb[~ok] = 0.0
-        h_b = t_eff if hr is h else np.einsum("tnij,tnj->tni", h, beams[c])
-        g = np.einsum("tni,tni->tn", comb, h_b)
+        if not ok.all():
+            comb[~ok] = 0.0
+        if hr is h:
+            # a^H h b = ||h b||
+            g = t_norm.astype(np.complex128)
+        else:
+            g = np.einsum("tni,tni->tn", comb,
+                          np.einsum("tnij,tnj->tni", h, beams[c]))
         links[c] = beams[c], g, np.einsum("tni,tni->tn", comb, noise), ok
     return hr, links
 
@@ -515,15 +525,20 @@ def _run_block(
     is estimated, beams are selected and each curve's effective gains
     and combined noise are computed once for all curves (per SNR point
     when the pilot power follows the SNR); each (curve, SNR) pair then
-    detects ``sqrt(rho) * g * x + z``.  Returns an int64 (curves, SNR
-    points, 3) array of bits sent, bit errors and null skips, zero where
-    inactive.
+    detects ``sqrt(rho) * g * x + z`` in one buffer, reads each bit as
+    the sign of the real or imaginary part of its symbol (the hard
+    decisions of :func:`demodulate`) and counts its errors on the
+    subcarriers that are not null-skipped.  Returns an int64 (curves,
+    SNR points, 3) array of bits sent, bit errors and null skips, zero
+    where inactive.
     """
     config = configs[0]
     n = config.n_subcarriers
     bps = config.bits_per_symbol
     bits, h, pilot, noise = _draw_batch(config, batch)
     x = modulate(bits.reshape(-1), config.modulation).reshape(-1, n)
+    # bit b of symbol k, as the sign of part b of its float64 view reads it
+    sent = bits.view(bool).reshape(-1, n, bps)
     per_snr = config.csi_mode == "estimated" and config.pilot_snr_db is None
     out = np.zeros(active.shape + (3,), dtype=np.int64)
     links = None
@@ -540,12 +555,16 @@ def _run_block(
         amp = np.sqrt(10.0 ** (snr_db / 10.0))
         for c in np.flatnonzero(active[:, s]).tolist():
             _, g, z, ok = links[c]
-            x_hat = amp * g * x + z
-            rx_bits = demodulate(x_hat.reshape(-1), config.modulation).reshape(
-                bits.shape
-            )
-            errors = (rx_bits != bits) & np.repeat(ok, bps, axis=1)
-            out[c, s] = ok.sum() * bps, errors.sum(), (~ok).sum()
+            y = amp * g
+            y *= x
+            y += z
+            # hard decisions: the real part, then the imaginary part for
+            # QPSK, is negative for a 1
+            errors = y.view(np.float64).reshape(-1, n, 2)[..., :bps] < 0.0
+            errors ^= sent
+            errors &= ok[..., None]
+            kept = np.count_nonzero(ok)
+            out[c, s] = kept * bps, np.count_nonzero(errors), ok.size - kept
     return out
 
 

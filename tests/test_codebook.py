@@ -363,7 +363,9 @@ def test_kernel_scans_a_chunk_source(rng):
     words = g / np.linalg.norm(g, axis=-1, keepdims=True)
     sizes = [32, 3, 6, 1, 15, 20]
     bounds = [0, 5, 6, 15, 32]
-    chunks = (words[:, lo:hi] for lo, hi in zip(bounds, bounds[1:]))
+    # codeword-major chunks, (w, t, dim)
+    chunks = (words[:, lo:hi].swapaxes(0, 1)
+              for lo, hi in zip(bounds, bounds[1:]))
     idx, gain, beam = _best_codewords(h, chunks, sizes)
     want_idx, _, want_beam = _best_codewords(h, words, sizes)
     assert np.array_equal(idx, want_idx)
@@ -399,7 +401,8 @@ def test_tile_size_does_not_change_the_search(rng, monkeypatch):
         lambda: shared,
         lambda: shared.vectors,
         lambda: per_group,
-        lambda: (per_group[:, lo:hi] for lo, hi in zip(bounds, bounds[1:])),
+        lambda: (per_group[:, lo:hi].swapaxes(0, 1)
+                 for lo, hi in zip(bounds, bounds[1:])),
     )
     assert lfbeam.codebook._GAIN_BUDGET == 1 << 17
     # stacks of 42 groups on the last run of 48 codewords

@@ -139,6 +139,47 @@ def test_block_scores_only_active_pairs():
         assert not block[0, 0].any()
 
 
+@pytest.mark.parametrize("link", [
+    dict(),
+    dict(modulation="qpsk", n_r=2),
+    dict(modulation="qpsk", csi_mode="estimated"),
+], ids=["bpsk", "qpsk-2x2", "qpsk-estimated"])
+def test_block_counts_equal_a_demodulate_reference(monkeypatch, link):
+    """``_run_block`` counts what ``modulate``, ``sqrt(rho) * g * x + z``
+    and ``demodulate`` count from the links of ``_receiver_links``, for
+    every (curve, SNR) pair, with some subcarriers' channels zeroed: under
+    perfect CSI they are null-skipped, and their bits count neither as
+    sent nor as errors."""
+    cfg = SimConfig(snr_db_points=(0.0, 6.0), **link)
+    configs = [replace(cfg, feedback_bits=b) for b in (None, 2)]
+    draw = lfbeam.simulator._draw_batch
+
+    def with_nulls(config, batch):
+        bits, h, pilot, noise = draw(config, batch)
+        h[3, :5] = 0.0
+        h[200, 63] = 0.0
+        return bits, h, pilot, noise
+
+    monkeypatch.setattr(lfbeam.simulator, "_draw_batch", with_nulls)
+    batch = 4
+    block = _run_block(configs, np.ones((2, 2), bool), batch)
+    bits, h, pilot, noise = with_nulls(cfg, batch)
+    n, bps = cfg.n_subcarriers, cfg.bits_per_symbol
+    x = modulate(bits.reshape(-1), cfg.modulation).reshape(-1, n)
+    for s, snr_db in enumerate(cfg.snr_db_points):
+        _, links = _receiver_links(configs, [0, 1], snr_db, h, pilot, noise,
+                                   batch)
+        for c in (0, 1):
+            _, g, z, ok = links[c]
+            x_hat = np.sqrt(10.0 ** (snr_db / 10.0)) * g * x + z
+            rx = demodulate(x_hat.reshape(-1), cfg.modulation)
+            errors = (rx.reshape(bits.shape) != bits) & np.repeat(ok, bps, 1)
+            want = (ok.sum() * bps, errors.sum(), (~ok).sum())
+            assert tuple(block[c, s].tolist()) == want
+            assert want[1] > 0
+            assert want[2] == (6 if cfg.csi_mode == "perfect" else 0)
+
+
 def test_noiseless_trials_have_zero_errors():
     for kw in (dict(), dict(feedback_bits=3), dict(modulation="qpsk", n_r=2)):
         cfg = SimConfig(**FAST, **kw)
@@ -194,10 +235,10 @@ def test_draw_order_is_documented_order():
         for drawn, arr in zip(_draw_batch(cfg, b), want):
             assert np.array_equal(drawn, arr)
     books = {b: _replay_codebooks(cfg, b, cfg.feedback_bits) for b in (1, 2)}
-    drawn = lfbeam.simulator._fresh_draws(cfg, 2, cfg.feedback_bits)
-    assert np.array_equal(
-        np.concatenate(list(drawn), axis=1), books[2].swapaxes(0, 1)
-    )
+    drawn = list(lfbeam.simulator._fresh_draws(cfg, 2, cfg.feedback_bits))
+    # codeword-major chunks, (w, 256, n_t) in C order
+    assert all(g.flags.c_contiguous for g in drawn)
+    assert np.array_equal(np.concatenate(drawn), books[2])
     d = trial_effective_gains(cfg, 6.0, 256 + 21)
     assert np.array_equal(d["channel"], replay[1][1][21])
     assert _are_codewords(d["beams"], books[1][:, 21])
@@ -367,9 +408,11 @@ def test_mimo22_counts_are_pinned(monkeypatch):
 
 
 @pytest.mark.parametrize("link, curves, pinned", [
-    (dict(), [None, 1, 8], [
+    (dict(), [None, 1, 2, 4, 8], [
         [(16384, 903, 0), (49152, 898, 0)],
         [(16384, 1545, 0), (16384, 602, 0)],
+        [(16384, 1229, 0), (32768, 757, 0)],
+        [(16384, 957, 0), (49152, 871, 0)],
         [(16384, 910, 0), (49152, 797, 0)],
     ]),
     (dict(csi_mode="estimated", fresh_codebook=False, snr_db_points=(0.0, 8.0)),
@@ -379,10 +422,12 @@ def test_mimo22_counts_are_pinned(monkeypatch):
     ]),
 ], ids=["miso", "estimated-fixed-b6"])
 def test_link_counts_are_pinned(link, curves, pinned):
-    """Short 2x1 BPSK sweeps, with fresh codebooks under perfect CSI and
-    with one fixed B=6 codebook under estimated CSI, give the counts
-    they gave when detection scaled each pair's beams and sent them
-    through the channel, before it read the per-curve effective gains."""
+    """Short 2x1 BPSK sweeps, with fresh codebooks under perfect CSI
+    (curves 1, 2, 4 and 8, so every prefix end 2, 4, 16 and 256 of the
+    search) and with one fixed B=6 codebook under estimated CSI, give
+    the counts they gave when detection scaled each pair's beams and sent
+    them through the channel, before it read the per-curve effective
+    gains."""
     base = dict(snr_db_points=(0.0, 4.0), target_errors=600,
                 max_bits=200_000, master_seed=5)
     cfg = SimConfig(**{**base, **link})
@@ -430,10 +475,13 @@ def test_codeword_chunks_do_not_change_results(monkeypatch):
     """A fresh B=8 batch picks the same beams and gives the same totals,
     in two batches, whether its 256 codewords are drawn in one chunk and
     scored in 1 MB tiles, drawn in 64 chunks of 4 codewords, or scored
-    in tiles of 7 codewords of one trial (the last one ragged)."""
+    in tiles of 7 codewords of one trial (the last one ragged).  Chunks
+    are codeword-major, (w, 256, n_t), and the 64 small ones are the one
+    chunk cut along its codeword axis."""
     cfg = SimConfig(feedback_bits=8, **FAST)
     active = np.ones((1, len(cfg.snr_db_points)), dtype=bool)
     per_codeword = 2 * TRIALS_PER_BATCH * cfg.n_t  # normals per codeword
+    shape = (TRIALS_PER_BATCH, cfg.n_t)
 
     def run(batch):
         _, h, _, _ = _draw_batch(cfg, batch)
@@ -442,14 +490,17 @@ def test_codeword_chunks_do_not_change_results(monkeypatch):
 
     batches = (0, 3)
     whole = [run(batch) for batch in batches]
-    assert len(list(lfbeam.simulator._fresh_draws(cfg, 0, 8))) == 1
-    for draw_chunk, budget, chunks in (
-        (4 * per_codeword, lfbeam.codebook._GAIN_BUDGET, 64),
-        (lfbeam.simulator._DRAW_CHUNK, 7 * cfg.n_subcarriers, 1),
+    one = list(lfbeam.simulator._fresh_draws(cfg, 0, 8))
+    assert [g.shape for g in one] == [(256,) + shape]
+    for draw_chunk, budget, width in (
+        (4 * per_codeword, lfbeam.codebook._GAIN_BUDGET, 4),
+        (lfbeam.simulator._DRAW_CHUNK, 7 * cfg.n_subcarriers, 256),
     ):
         monkeypatch.setattr(lfbeam.simulator, "_DRAW_CHUNK", draw_chunk)
         monkeypatch.setattr(lfbeam.codebook, "_GAIN_BUDGET", budget)
-        assert len(list(lfbeam.simulator._fresh_draws(cfg, 0, 8))) == chunks
+        drawn = list(lfbeam.simulator._fresh_draws(cfg, 0, 8))
+        assert [g.shape for g in drawn] == [(width,) + shape] * (256 // width)
+        assert np.array_equal(np.concatenate(drawn), one[0])
         for (beams, totals), batch in zip(whole, batches):
             beams_c, totals_c = run(batch)
             assert np.array_equal(beams_c, beams)
