@@ -260,7 +260,7 @@ def against(rev, pairs):
             key = f"{stage}_ms"
             base_ms = [r[name][key] for r in runs["base"]]
             this_ms = [r[name][key] for r in runs["this"]]
-            ratios = [b / a for a, b in zip(base_ms, this_ms)]
+            ratios = [t / b for b, t in zip(base_ms, this_ms)]
             result[name][stage] = {
                 "ratio_median": statistics.median(ratios),
                 "ratio_min": min(ratios),
@@ -285,6 +285,8 @@ def main(argv=None):
     p.add_argument("--no-pool", action="store_true",
                    help="skip the pool's sweeps")
     args = p.parse_args(argv)
+    if args.pairs < 1:
+        p.error("--pairs must be at least 1")
     load(args.src)
     env = environment()
     if args.against:

@@ -520,11 +520,11 @@ def test_fresh_curve_does_not_depend_on_the_largest_curve():
 
 
 def test_fresh_codebook_memory_is_bounded():
-    """One fresh B=14 block on 8 subcarriers peaks below 12 MB (9.4 MB
-    measured), under a tenth of the 128 MB that the batch's 16,384
+    """One fresh B=14 block on 8 subcarriers peaks below 8 MB (6.4 MB
+    measured), under a sixteenth of the 128 MB that the batch's 16,384
     codewords of 256 trials take when drawn at once; the codeword chunks
     keep it near one chunk's draws and features (2 MB each), the
-    temporaries of their lift and one 1 MB gain tile."""
+    conjugate the lift writes them from and one 1 MB gain tile."""
     cfg = SimConfig(n_subcarriers=8, feedback_bits=14, snr_db_points=(6.0,))
     whole = (1 << 14) * TRIALS_PER_BATCH * cfg.n_t * 16
     assert whole == 128 << 20
@@ -535,7 +535,7 @@ def test_fresh_codebook_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert totals[0, 0, 0] == 256 * cfg.n_subcarriers
-    assert peak < 12 << 20
+    assert peak < 8 << 20
 
 
 # Run in a fresh interpreter: two warm-up blocks at each geometry, then
