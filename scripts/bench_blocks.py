@@ -42,8 +42,9 @@ differ from it.  One BLAS thread is used, as in the benchmark.
 ``--against REV`` compares two trees instead: ``git archive REV`` is
 extracted into a temporary directory, and this script times the stages
 of that tree's ``src/`` and of this checkout's in fresh subprocesses,
-launched the same way and alternating which tree runs first, for
-``--pairs`` pairs.  The record holds, per workload and stage, the
+launched the same way (``--src TREE/src``, which times the stages of
+that tree's library and not the pool) and alternating which tree runs
+first, for ``PAIRS`` pairs.  The record holds, per workload and stage, the
 median and the range of the paired ratios (this checkout's time over
 REV's; below 1 is faster), each side's median time, and the ``src/``
 line count of each side.  The machine's speed drifts between runs, so
@@ -78,6 +79,7 @@ SEED = 1  # master seed of every workload
 BATCHES = range(1, 5)  # the blocks of these batches are timed
 REPEATS = 12  # rounds; each stage's best round is kept
 SWEEPS = 3  # runs of the pool sweep at each worker count; the best is kept
+PAIRS = 10  # subprocess pairs of --against
 POOL_WORKLOAD = "estimated-2w"
 
 
@@ -232,7 +234,7 @@ def bench_pool(wl):
     return out
 
 
-def against(rev, pairs):
+def against(rev):
     """Paired stage timings of this checkout against ``git archive rev``."""
     tar = subprocess.run(["git", "-C", ROOT, "archive", rev],
                          capture_output=True, check=True).stdout
@@ -242,12 +244,12 @@ def against(rev, pairs):
             archive.extractall(base, filter="data")
         trees = {"base": base, "this": ROOT}
         runs = {side: [] for side in trees}
-        for i in range(pairs):
+        for i in range(PAIRS):
             for side in (("base", "this") if i % 2 == 0 else ("this", "base")):
                 out = os.path.join(tmp, "stages.json")
                 subprocess.run(
                     [sys.executable, os.path.abspath(__file__), "--out", out,
-                     "--src", os.path.join(trees[side], "src"), "--no-pool"],
+                     "--src", os.path.join(trees[side], "src")],
                     check=True, stdout=subprocess.DEVNULL,
                 )
                 with open(out) as f:
@@ -268,7 +270,7 @@ def against(rev, pairs):
                 "base_ms": statistics.median(base_ms),
                 "this_ms": statistics.median(this_ms),
             }
-    return {"against": rev, "pairs": pairs, "src_lines": lines,
+    return {"against": rev, "pairs": PAIRS, "src_lines": lines,
             "workloads": result}
 
 
@@ -277,22 +279,17 @@ def main(argv=None):
     p.add_argument("--out", required=True, help="JSON record to write")
     p.add_argument("--against", metavar="REV",
                    help="time this checkout against git revision REV")
-    p.add_argument("--pairs", type=int, default=10,
-                   help="subprocess pairs for --against (default 10)")
-    p.add_argument("--src", default=os.path.join(ROOT, "src"),
-                   help="the library sources to time (default: this "
-                        "checkout's)")
-    p.add_argument("--no-pool", action="store_true",
-                   help="skip the pool's sweeps")
+    p.add_argument("--src",
+                   help="time only the stages, of the library sources in "
+                        "SRC (default: this checkout's, and the pool)")
     args = p.parse_args(argv)
-    if args.pairs < 1:
-        p.error("--pairs must be at least 1")
-    load(args.src)
+    src = args.src or os.path.join(ROOT, "src")
+    load(src)
     env = environment()
     if args.against:
         record = {"environment": env, "seed": SEED, "blocks": len(BATCHES),
-                  "repeats": REPEATS, **against(args.against, args.pairs)}
-        print(f"this checkout against {args.against}, {args.pairs} pairs: "
+                  "repeats": REPEATS, **against(args.against)}
+        print(f"this checkout against {args.against}, {PAIRS} pairs: "
               "median [min, max] of the paired time ratios")
         print(f"{'workload':14s} " + " ".join(f"{s:>19s}" for s in STAGES))
         for name, stages in record["workloads"].items():
@@ -314,7 +311,7 @@ def main(argv=None):
         "seed": SEED,
         "blocks": len(BATCHES),
         "repeats": REPEATS,
-        "src_lines": src_lines(os.path.dirname(os.path.abspath(args.src))),
+        "src_lines": src_lines(os.path.dirname(os.path.abspath(src))),
         "workloads": {},
     }
     print(f"{env['cpu']}, {env['nproc']} CPUs, Python {env['python']}, "
@@ -329,7 +326,7 @@ def main(argv=None):
               f"{r['detect_ms']:8.2f} {r['block_ms']:8.2f} "
               f"{r['minflt_per_block']:7.0f} "
               f"{r['tracemalloc_peak_mb']:8.2f}")
-    if not args.no_pool:
+    if args.src is None:
         pool = bench_pool(WORKLOADS[POOL_WORKLOAD])
         record["pool"] = {"workload": POOL_WORKLOAD, **pool}
         print(f"{POOL_WORKLOAD} sweep: {pool['sweep_1w_s']:.3f} s at 1 "

@@ -178,10 +178,11 @@ def _lift(x: np.ndarray) -> np.ndarray:
     ``_lift(conj(a))`` with ``_lift(w)`` whose off-diagonal entries are
     doubled (see :func:`_best_codewords`).
     """
+    x = np.asarray(x, np.complex128)
     m = x.shape[-1]
     out = np.empty(x.shape[:-1] + (m * m,))
     cross = out[..., m:].view(np.complex128)
-    xc = x.conj()
+    xc = np.conjugate(x)  # a new array: its |x_i|^2 are written over it
     k = 0
     for i in range(m - 1):
         np.multiply(xc[..., i : i + 1], x[..., i + 1 :],
@@ -189,38 +190,6 @@ def _lift(x: np.ndarray) -> np.ndarray:
         k += m - 1 - i
     out[..., :m] = np.multiply(xc, x, out=xc).real
     return out
-
-
-def _channel_features(h: np.ndarray) -> np.ndarray:
-    """``sum_r _lift(conj(H_r))`` for a (t, n, n_r, m) channel stack,
-    with the off-diagonal entries doubled: (t, n, m*m).
-
-    Each entry is built from the planes (t, n, n_r) of two transmit
-    antennas, with the lift's products in the lift's operand order
-    (``conj(x_i) x_j`` is ``h_i conj(h_j)``) summed over r in order, so
-    it equals the summed lift bit for bit without its temporaries.
-    """
-    t, n, n_r, m = h.shape
-    feats = np.empty((t, n, m * m))
-    cross = feats[..., m:].view(np.complex128)
-    p = np.empty((t, n, n_r), np.complex128)
-    k = 0
-    for i in range(m):
-        for j in range(i, m):
-            np.multiply(h[..., i], np.conjugate(h[..., j], out=p), out=p)
-            if i == j:
-                part, out = p.real, feats[..., i]
-            else:
-                part, out, k = p, cross[..., k], k + 1
-            np.copyto(out, part[..., 0])
-            if n_r > 1:
-                out += 0.0  # numpy's sum starts from +0.0
-                for r in range(1, n_r):
-                    out += part[..., r]
-    # the off-diagonal doubling goes on the channel side: scaling by 2
-    # is exact, and the codewords outnumber the channels
-    feats[..., m:] *= 2.0
-    return feats
 
 
 def _best_codewords(
@@ -252,7 +221,14 @@ def _best_codewords(
     wins, so ties break to the lowest index.
     """
     t, n, n_r, dim = h.shape
-    feats = _channel_features(h)
+    feats = _lift(h[:, :, 0].conj())
+    if n_r > 1:
+        feats += 0.0  # summed over r in order from +0.0, as numpy sums
+        for r in range(1, n_r):
+            feats += _lift(h[:, :, r].conj())
+    # the off-diagonal doubling goes on the channel side: scaling by 2
+    # is exact, and the codewords outnumber the channels
+    feats[:, :, dim:] *= 2.0
     flat = feats.reshape(t * n, -1)
     ends = sorted(set(sizes or ()))
     last = ends[-1] if ends else None

@@ -124,6 +124,24 @@ def test_tie_breaks_to_lowest_index():
     assert res.index == 0
 
 
+def test_real_codewords_are_searched_and_left_unchanged():
+    """Real-valued codewords are searched as complex ones, and neither
+    the codebook's vectors nor a caller's array is written to."""
+    vectors = np.array([[0.6, 0.8], [1.0, 0.0]])
+    cb = Codebook(vectors.copy(), bits=1, dim=2, seed=0)
+    h = np.array([1.0 + 0.5j, 0.2 - 0.1j])
+    res = quantize_direction(h, cb)
+    assert res.index == 1
+    assert res.metric == pytest.approx(1.25)
+    np.testing.assert_array_equal(cb.vectors, vectors)
+    words = vectors.copy()
+    index, gain, beam = _best_codewords(h[None, None, None], words)
+    assert index[0, 0] == 1
+    assert gain[0, 0] == pytest.approx(1.25)
+    np.testing.assert_array_equal(beam[0, 0], vectors[1])
+    np.testing.assert_array_equal(words, vectors)
+
+
 def test_zero_channel_raises():
     cb = gen_rvq(2, 2, seed=0)
     with pytest.raises(ZeroChannelError):
