@@ -15,8 +15,8 @@ fastest phase of the machine over the whole run:
 
 - ``draw``: ``_draw_batch`` (bits, taps, pilot and data noise, FFT);
 - ``search``: the ``_beam_directions`` calls of the receiver side, with
-  the receiver's channel knowledge given (eigenvectors, codeword
-  searches, fixed codebooks made);
+  the receiver's channel knowledge given (eigenvectors, the block's one
+  codebook drawn or made, and its one prefix search);
 - ``links``: the rest of ``_receiver_links``, once per block or per SNR
   point when the pilot power follows the SNR, with the beams given (LS
   estimate, combiners, each curve's effective gains ``g`` and combined

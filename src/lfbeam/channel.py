@@ -43,10 +43,6 @@ class TrainingSequence:
 
     symbols: np.ndarray
 
-    @property
-    def n_pilots(self) -> int:
-        return self.symbols.shape[1]
-
 
 def _complex_normal(rng: np.random.Generator, shape, scale: float) -> np.ndarray:
     """CN(0, 2*scale^2) samples; real block drawn before imaginary."""

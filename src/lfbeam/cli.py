@@ -90,7 +90,9 @@ def parse_config(
 ) -> tuple[SimConfig, list[int | None]]:
     """Merge preset, config file, and flag overrides into a validated
     config plus the list of curves (feedback bit counts, None for
-    unquantized) to run."""
+    unquantized) to run: an explicit ``curves`` list, else the one
+    ``feedback_bits`` of the file or the overrides, else the preset's
+    default curves."""
     raw: dict = {}
     curves: list[int | None] | None = None
     if preset is not None:
@@ -126,7 +128,9 @@ def parse_config(
             curves = _parse_curve_list(o.pop("curves"))
         raw.update({k: v for k, v in o.items() if v is not None})
     config = SimConfig.from_dict(raw)
-    if curves is None:
+    if curves is None and "feedback_bits" in raw:  # never from a preset
+        curves = [config.feedback_bits]
+    elif curves is None:
         curves = list(_DEFAULT_CURVES.get(preset, _DEFAULT_CURVES[None]))
     for bits in curves:  # each curve's range, before any run starts
         replace(config, feedback_bits=bits).validate()

@@ -303,19 +303,17 @@ def save_codebook(codebook: Codebook, path) -> None:
     """Write a codebook to the interchange format.
 
     Layout: little-endian u32 header (dim, bits, seed) followed by the
-    vectors as row-major float64 with real/imaginary interleaved per
-    entry.  The payload round-trips bit for bit.
+    vectors as row-major little-endian complex128: float64 real and
+    imaginary parts interleaved per entry.  The payload round-trips bit
+    for bit, signed zeros included.
     """
     if not 0 <= codebook.seed < 2**32:
         raise ValueError(
             f"seed {codebook.seed} does not fit the u32 header field"
         )
-    pairs = np.empty(codebook.vectors.shape + (2,), dtype="<f8")
-    pairs[..., 0] = codebook.vectors.real
-    pairs[..., 1] = codebook.vectors.imag
     with open(path, "wb") as f:
         f.write(_HEADER.pack(codebook.dim, codebook.bits, codebook.seed))
-        f.write(pairs.tobytes())
+        f.write(np.ascontiguousarray(codebook.vectors, dtype="<c16").tobytes())
 
 
 def load_codebook(path) -> Codebook:
@@ -333,9 +331,8 @@ def load_codebook(path) -> Codebook:
         raise ValueError(
             f"codebook payload has {len(raw)} bytes, expected {expected}"
         )
-    pairs = np.frombuffer(raw, dtype="<f8", offset=_HEADER.size)
-    pairs = pairs.reshape(size, dim, 2)
-    vectors = pairs[..., 0] + 1j * pairs[..., 1]
+    vectors = np.frombuffer(raw, dtype="<c16", offset=_HEADER.size)
+    vectors = vectors.reshape(size, dim)
     norms = np.linalg.norm(vectors, axis=1)
     if np.abs(norms - 1.0).max() > 1e-9:
         raise ValueError("corrupt codebook file: vectors are not unit norm")

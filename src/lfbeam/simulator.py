@@ -23,18 +23,20 @@ Reproducibility: trials come in fixed batches of 256, and batch ``b``
 ``SeedSequence([master_seed, b])``, one call per array in a fixed order:
 data bits, taps, pilot noise when CSI is estimated and data noise, 256
 rows each.  A trial's draws are its row of each array, the same on
-every curve of one link.  Fresh codebooks come from a second stream of
-the batch, ``SeedSequence([master_seed, b, 1])``, codeword-major: the
-2**B codewords of all 256 trials, codeword 0 first.  Fresh-codebook
-curves share each trial's codebook, each searching its own prefix.  One
-loop over whole batches serves every SNR point and curve: each batch
-is drawn once and scored for every (curve, SNR) pair still running,
-and each pair stops on its own rule.  A block is one batch and depends
-on the curves' configs, the running pairs and the batch index alone; it
-makes the fixed codebooks from the configs.  Draws depend on neither
-the pair nor the worker count, so sweeps share common random numbers
-across SNR points and curves, and results are bit-identical for any
-worker count.
+every curve of one link.  The quantized curves of a sweep share one
+codebook per trial, made once per block for the largest B among them,
+and the B-bit curve searches its first 2**B codewords.  A fresh
+codebook comes from a second stream of the batch, ``SeedSequence(
+[master_seed, b, 1])``, codeword-major: the 2**B codewords of all 256
+trials, codeword 0 first.  A fixed one is the seeded :func:`gen_rvq`
+codebook shared by every trial, whose smaller codebooks are its
+prefixes.  One loop over whole batches serves every SNR point and
+curve: each batch is drawn once and scored for every (curve, SNR) pair
+still running, and each pair stops on its own rule.  A block is one
+batch and depends on the curves' configs, the running pairs and the
+batch index alone.  Draws depend on neither the pair nor the worker
+count, so sweeps share common random numbers across SNR points and
+curves, and results are bit-identical for any worker count.
 """
 
 from __future__ import annotations
@@ -51,7 +53,7 @@ import numpy as np
 from .channel import (
     _complex_normal, ls_estimate, make_phase_shift_training, to_subcarriers,
 )
-from .codebook import Codebook, _best_codewords, gen_rvq
+from .codebook import _best_codewords, gen_rvq
 from .numerics import _sum_rows, dominant_right_eigvec_batch
 from .beamforming import apply_power_constraint  # noqa: F401 (perfbench traces it here)
 
@@ -354,16 +356,14 @@ def demodulate(symbols: np.ndarray, scheme: str) -> np.ndarray:
     raise ValueError(f"unknown modulation {scheme!r}")
 
 
-def _fixed_codebook(config: SimConfig) -> Codebook | None:
-    """The shared codebook used when ``fresh_codebook`` is off."""
-    if config.feedback_bits is None or config.fresh_codebook:
-        return None
-    seed = int(
+def _codebook_seed(config: SimConfig) -> int:
+    """Seed of the codebook shared by every trial when
+    ``fresh_codebook`` is off; it does not depend on the bits."""
+    return int(
         np.random.SeedSequence(
             [config.master_seed, _CODEBOOK_STREAM]
         ).generate_state(1, dtype=np.uint32)[0]
     )
-    return gen_rvq(config.n_t, config.feedback_bits, seed)
 
 
 def _draw_batch(config: SimConfig, batch: int):
@@ -427,14 +427,13 @@ def _beam_directions(
 
     ``hr`` is (256, N, n_r, n_t), the receiver's view of batch
     ``batch``; returns a (256, N, n_t) array for each curve in
-    ``running``, and for every fresh-codebook curve when one of them is
-    running.  Unquantized curves take the dominant right eigenvector,
-    fixed-codebook curves the best codeword of their shared codebook,
-    made here by :func:`_fixed_codebook`.  Fresh-codebook curves share
-    one codebook per trial (:func:`_fresh_draws`) for the largest B of
-    the sweep's fresh curves, running or not, so the search has one
-    shape all sweep; the B-bit curve takes the best of the first 2**B
-    codewords.
+    ``running``, and for every quantized curve when one of them is
+    running.  Unquantized curves take the dominant right eigenvector.
+    Quantized curves share one codebook per trial for the largest B of
+    the sweep's quantized curves, running or not, so the search has one
+    shape all sweep: each batch's fresh draws (:func:`_fresh_draws`), or
+    the seeded codebook every trial shares, made here once.  The B-bit
+    curve takes the best of the first 2**B codewords.
     """
     t, n, n_r, n_t = hr.shape
     beams = {}
@@ -442,17 +441,17 @@ def _beam_directions(
         if configs[c].feedback_bits is None:
             v, _ = dominant_right_eigvec_batch(hr.reshape(t * n, n_r, n_t))
             beams[c] = v.reshape(t, n, n_t)
-        elif not configs[c].fresh_codebook:
-            _, _, beams[c] = _best_codewords(hr, _fixed_codebook(configs[c]))
-    fresh = [
-        c for c, cfg in enumerate(configs)
-        if cfg.feedback_bits is not None and cfg.fresh_codebook
+    quantized = [
+        c for c, cfg in enumerate(configs) if cfg.feedback_bits is not None
     ]
-    if set(fresh) & set(running):
-        bits = [configs[c].feedback_bits for c in fresh]
-        draws = _fresh_draws(configs[0], batch, max(bits))
-        _, _, found = _best_codewords(hr, draws, [1 << b for b in bits])
-        beams.update(zip(fresh, found))
+    if set(quantized) & set(running):
+        bits = [configs[c].feedback_bits for c in quantized]
+        if configs[0].fresh_codebook:
+            words = _fresh_draws(configs[0], batch, max(bits))
+        else:
+            words = gen_rvq(n_t, max(bits), _codebook_seed(configs[0]))
+        _, _, found = _best_codewords(hr, words, [1 << b for b in bits])
+        beams.update(zip(quantized, found))
     return beams
 
 

@@ -65,6 +65,23 @@ def test_curves_from_file(tmp_path):
     assert curves == [None, 1, 8]
 
 
+def test_feedback_bits_from_file_or_overrides_is_the_one_curve(tmp_path):
+    """Without a curves list, a ``feedback_bits`` of the file or the
+    overrides is the one curve run, as the manifest records it; an
+    explicit curves list still wins."""
+    path = str(tiny_config(tmp_path, feedback_bits=8))
+    for preset in (None, "fig2-miso"):
+        cfg, curves = parse_config(path=path, preset=preset)
+        assert (cfg.feedback_bits, curves) == (8, [8])
+    cfg, curves = parse_config(preset="fig2-miso",
+                               overrides={"feedback_bits": "perfect"})
+    assert (cfg.feedback_bits, curves) == (None, [None])
+    _, curves = parse_config(path=path, overrides={"curves": [None, 2]})
+    assert curves == [None, 2]
+    both = str(tiny_config(tmp_path, feedback_bits=8, curves=[1]))
+    assert parse_config(path=both)[1] == [1]
+
+
 def test_unknown_key_rejected(tmp_path):
     path = tiny_config(tmp_path, carrier_freq=2.4e9)
     with pytest.raises(ConfigError):

@@ -481,6 +481,23 @@ def test_file_header_layout(tmp_path):
     assert first == cb.vectors[0, 0].real
 
 
+def test_signed_zero_round_trips(tmp_path):
+    """The payload is each entry's (re, im) float64 pair, and a -0.0
+    imaginary part comes back as -0.0, not rebuilt as +0.0."""
+    vectors = np.array([[complex(0.6, -0.0), complex(0.0, 0.8)],
+                        [complex(-0.0, -0.0), complex(1.0, -0.0)]])
+    cb = Codebook(vectors, bits=1, dim=2, seed=3)
+    path = tmp_path / "book.rvq"
+    save_codebook(cb, path)
+    raw = path.read_bytes()
+    assert raw[12:] == struct.pack("<8d", 0.6, -0.0, 0.0, 0.8,
+                                   -0.0, -0.0, 1.0, -0.0)
+    back = load_codebook(path)
+    assert back.vectors.tobytes() == vectors.tobytes()
+    assert np.signbit(back.vectors.imag).tolist() == [[True, False],
+                                                      [True, True]]
+
+
 def test_truncated_file_raises(tmp_path):
     cb = gen_rvq(2, 2, seed=1)
     path = tmp_path / "book.rvq"

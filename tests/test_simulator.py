@@ -25,8 +25,8 @@ from lfbeam.simulator import (
     OddBitCountError,
     SimConfig,
     TRIALS_PER_BATCH,
+    _codebook_seed,
     _draw_batch,
-    _fixed_codebook,
     _receiver_links,
     _run_block,
     demodulate,
@@ -308,13 +308,47 @@ def test_fixed_codebook_mode_shares_one_codebook():
     """Every trial's beams, in any batch, are codewords of the one
     seeded codebook, and the two modes simulate different links."""
     cfg = SimConfig(feedback_bits=3, fresh_codebook=False, **FAST)
-    words = _fixed_codebook(cfg).vectors
+    words = lfbeam.codebook.gen_rvq(cfg.n_t, 3, _codebook_seed(cfg)).vectors
     for idx in (3, 256 + 40, 5 * 256 + 7):
         assert _are_codewords(trial_effective_gains(cfg, 6.0, idx)["beams"],
                               words)
     assert one_batch(cfg, 6.0, 0) == one_batch(cfg, 6.0, 0)
     fresh = SimConfig(feedback_bits=3, fresh_codebook=True, **FAST)
     assert one_batch(cfg, 6.0, 0) != one_batch(fresh, 6.0, 0)
+
+
+def test_fixed_curves_share_one_search(monkeypatch):
+    """Fixed-codebook curves 1, 4 and 8 next to the perfect curve search
+    one seeded 256-word codebook: each ``_beam_directions`` call with a
+    quantized curve running makes it once, always with B = 8 and the
+    same seed, and each curve equals its curve swept alone."""
+    cfg = SimConfig(fresh_codebook=False, snr_db_points=(0.0, 6.0),
+                    target_errors=300, max_bits=100_000)
+    curves = [None, 1, 4, 8]
+    alone = [
+        run_sweep(replace(cfg, feedback_bits=bits)).to_csv_text()
+        for bits in curves
+    ]
+    made, searches = [], []
+    gen = lfbeam.simulator.gen_rvq
+    search = lfbeam.simulator._beam_directions
+
+    def gen_spy(dim, bits, seed):
+        made.append((bits, seed))
+        return gen(dim, bits, seed)
+
+    def search_spy(configs, running, hr, batch):
+        searches.append(
+            any(configs[c].feedback_bits is not None for c in running)
+        )
+        return search(configs, running, hr, batch)
+
+    monkeypatch.setattr(lfbeam.simulator, "gen_rvq", gen_spy)
+    monkeypatch.setattr(lfbeam.simulator, "_beam_directions", search_spy)
+    joint = run_sweeps(cfg, curves)
+    assert [c.to_csv_text() for c in joint] == alone
+    assert sum(searches) > 1
+    assert made == [(8, _codebook_seed(cfg))] * sum(searches)
 
 
 # ---------------------------------------------------------------- run_sweep
