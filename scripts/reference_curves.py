@@ -19,20 +19,12 @@ import sys
 
 import numpy as np
 
-sys.path.insert(0, "src")
+# the package, and the closed forms the tests check it against
+sys.path[:0] = ["src", "tests"]
 
 from lfbeam.codebook import gen_rvq, quantize_direction
 from lfbeam.simulator import SimConfig, run_sweeps
-
-
-def mrc_bpsk_ber(snr_db: float, branches: int) -> float:
-    gbar = 10.0 ** (snr_db / 10.0)
-    p = 0.5 * (1.0 - np.sqrt(gbar / (1.0 + gbar)))
-    if branches == 1:
-        return p
-    if branches == 2:
-        return p * p * (1.0 + 2.0 * (1.0 - p))
-    raise ValueError("only 1 or 2 branches have a pinned closed form")
+from oracles import min_uniform_mean, rayleigh_mrc_bpsk_ber
 
 
 def run_check(snrs, target_errors, max_bits, seed):
@@ -64,8 +56,8 @@ def main(argv=None):
     print("flat-Rayleigh BPSK bit error rate")
     print(header)
     for i, s in enumerate(snrs):
-        row = (f"{s:7.1f}  {mrc_bpsk_ber(s, 1):12.4e}"
-               f"  {mrc_bpsk_ber(s, 2):12.4e}")
+        row = (f"{s:7.1f}  {rayleigh_mrc_bpsk_ber(s, 1):12.4e}"
+               f"  {rayleigh_mrc_bpsk_ber(s, 2):12.4e}")
         if args.check:
             pb0 = single.points[i]
             pbf = perfect.points[i]
@@ -81,7 +73,7 @@ def main(argv=None):
           (f"  {'empirical':>11}" if args.check else ""))
     rng = np.random.default_rng(args.seed)
     for b in (1, 2, 3, 4, 6, 8):
-        expected = 1.0 / ((1 << b) + 1)
+        expected = min_uniform_mean(1 << b)
         row = f"{b:5d}  {expected:11.5f}"
         if args.check:
             n = 4000

@@ -8,7 +8,6 @@ the binary file format below, so only the selected index needs feedback.
 
 from __future__ import annotations
 
-import functools
 import struct
 from dataclasses import dataclass
 
@@ -63,12 +62,6 @@ class Codebook:
 
     def __len__(self) -> int:
         return self.vectors.shape[0]
-
-    @functools.cached_property
-    def features(self) -> np.ndarray:
-        """The codewords' lifted features for the codeword search,
-        computed on first use and kept."""
-        return _lift(self.vectors)
 
 
 @dataclass(frozen=True)
@@ -130,10 +123,12 @@ def quantize_direction(h: np.ndarray, codebook: Codebook) -> QuantizationResult:
     if power == 0.0:
         raise ZeroChannelError("cannot quantize an all-zero channel")
     # |h^H w|^2 is ||H w||^2 for the one-row channel H = h^H
-    index, gain, _ = _best_codewords(h.conj()[None, None, None], codebook)
-    metric = float(gain[0, 0])
+    index, gain, _ = _best_codewords(
+        h.conj()[None, None, None], [codebook.vectors[:, None]], [len(codebook)]
+    )
+    metric = float(gain[0, 0, 0])
     distortion = min(max(1.0 - metric / power, 0.0), 1.0)
-    return QuantizationResult(int(index[0, 0]), distortion, metric)
+    return QuantizationResult(int(index[0, 0, 0]), distortion, metric)
 
 
 def select_beamformer(
@@ -157,15 +152,17 @@ def select_beamformer(
         raise ValueError(
             f"channel has {h.shape[1]} columns, codebook has dim {codebook.dim}"
         )
-    index, gain, _ = _best_codewords(h[None, None], codebook)
-    metric = float(gain[0, 0])
+    index, gain, _ = _best_codewords(
+        h[None, None], [codebook.vectors[:, None]], [len(codebook)]
+    )
+    metric = float(gain[0, 0, 0])
     _, lam = dominant_right_eigvec_batch(h[None])
     top = float(lam[0])
     if top <= 0.0:
         distortion = 0.0
     else:
         distortion = min(max(1.0 - metric / top, 0.0), 1.0)
-    return QuantizationResult(int(index[0, 0]), distortion, metric)
+    return QuantizationResult(int(index[0, 0, 0]), distortion, metric)
 
 
 def _lift(x: np.ndarray) -> np.ndarray:
@@ -193,32 +190,28 @@ def _lift(x: np.ndarray) -> np.ndarray:
 
 
 def _best_codewords(
-    h: np.ndarray, words, sizes: list[int] | None = None
+    h: np.ndarray, chunks, sizes: list[int]
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Best codeword per channel matrix: argmax over w of ``||H w||^2``.
+    """Best codeword per channel matrix among each prefix of a codebook.
 
-    ``h`` is a (t, n, n_r, dim) stack of channel matrices.  ``words``
-    holds unit codewords: a :class:`Codebook` or a (k, dim) array shared
-    by the stack, a (t, k, dim) array with one codebook per group, or a
-    chunk source, an iterator of codeword-major (w, t, dim) arrays, the
-    next ``w`` codewords of every group, whose total ``max(sizes)``
-    gives.  Returns ``(index, gain, beam)``, (t, n) each and (t, n, dim)
-    for the winning codeword; with ``sizes``, a list of prefix sizes,
-    with a leading axis: the best of the first ``s`` codewords for each
-    ``s``.
+    ``h`` is a (t, n, n_r, dim) stack of channel matrices.  ``chunks``
+    yields the codebook codeword-major, as (w, g, dim) arrays of its
+    next ``w`` unit codewords: one codebook shared by every group
+    (g = 1) or one per group (g = t), ``max(sizes)`` codewords in all.
+    For each prefix size ``s`` in ``sizes`` the result holds the argmax
+    of ``||H w||^2`` over the first ``s`` codewords: ``(index, gain,
+    beam)``, (len(sizes), t, n) each and (len(sizes), t, n, dim).
 
     Gains are one real GEMM in lifted form, the channel's features
-    ``sum_r _lift(conj(H_r))`` times the codewords' ``_lift(w)`` (a
-    codebook's cached ``features``, else each chunk lifted once into one
-    codeword-major buffer), so the cost does not grow with n_r.
-    Codewords are scanned once, in order: each run of codewords between
-    prefix ends is scored in tiles of whole groups within
-    ``_GAIN_BUDGET`` gains, a group's tile the same product whatever
-    the stack or block size (one 2-D product for a shared codebook), and
-    merged into the best so far.  A chunk is dropped once scored, so the
+    ``sum_r _lift(conj(H_r))`` times each chunk's ``_lift(w)``, lifted
+    once, so the cost does not grow with n_r.  Each run of codewords
+    between prefix ends is scored in tiles of whole groups within
+    ``_GAIN_BUDGET`` gains, a group's tile the same product whatever the
+    stack or block size (one 2-D product for a shared codebook), and
+    merged into the best so far; the first maximizer wins, so ties break
+    to the lowest index.  A chunk is dropped once scored, so the
     winners' vectors at every prefix end are gathered from it in one
-    ``take`` and kept with their index and gain.  The first maximizer
-    wins, so ties break to the lowest index.
+    ``take``.
     """
     t, n, n_r, dim = h.shape
     feats = _lift(h[:, :, 0].conj())
@@ -230,22 +223,13 @@ def _best_codewords(
     # is exact, and the codewords outnumber the channels
     feats[:, :, dim:] *= 2.0
     flat = feats.reshape(t * n, -1)
-    ends = sorted(set(sizes or ()))
-    last = ends[-1] if ends else None
-    lifted = None
-    if isinstance(words, Codebook):
-        lifted, words = words.features[:last, None], words.vectors
-    if isinstance(words, np.ndarray):
-        # one codeword-major chunk, (k, 1, dim) when shared
-        words = [words[:last, None] if words.ndim == 2 else
-                 np.ascontiguousarray(words[:, :last].swapaxes(0, 1))]
+    ends = sorted(set(sizes))
     group = np.repeat(np.arange(t), n)
     idx = np.empty(t * n, np.intp)
     gain = np.empty(t * n)
     vec, found, lo = None, {}, 0
-    for chunk in words:
-        if lifted is None:
-            lifted = _lift(chunk)
+    for chunk in chunks:
+        lifted = _lift(chunk)
         # one group of codewords is every group's
         shared = chunk.shape[1] == 1
         hi = lo + chunk.shape[0]
@@ -293,8 +277,6 @@ def _best_codewords(
         vec, lo = won[-1], hi
         # dropped before the source draws the next chunk
         chunk = lifted = cols = None
-    if sizes is None:
-        return idx.reshape(t, n), gain.reshape(t, n), vec.reshape(t, n, dim)
     return tuple(np.stack(x).reshape((-1, t, n) + x[0].shape[1:])
                  for x in zip(*(found[e] for e in sizes)))
 
@@ -305,21 +287,33 @@ def save_codebook(codebook: Codebook, path) -> None:
     Layout: little-endian u32 header (dim, bits, seed) followed by the
     vectors as row-major little-endian complex128: float64 real and
     imaginary parts interleaved per entry.  The payload round-trips bit
-    for bit, signed zeros included.
+    for bit, signed zeros included.  What :func:`load_codebook` would
+    refuse is refused before the file is opened.
     """
     if not 0 <= codebook.seed < 2**32:
         raise ValueError(
             f"seed {codebook.seed} does not fit the u32 header field"
         )
+    if np.shape(codebook.vectors)[1:] != (codebook.dim,):
+        raise ValueError(
+            f"codebook vectors have shape {np.shape(codebook.vectors)}, "
+            f"not (2**bits, {codebook.dim})"
+        )
+    raw = _HEADER.pack(codebook.dim, codebook.bits, codebook.seed)
+    raw += np.ascontiguousarray(codebook.vectors, dtype="<c16").tobytes()
+    _parse_codebook(raw)
     with open(path, "wb") as f:
-        f.write(_HEADER.pack(codebook.dim, codebook.bits, codebook.seed))
-        f.write(np.ascontiguousarray(codebook.vectors, dtype="<c16").tobytes())
+        f.write(raw)
 
 
 def load_codebook(path) -> Codebook:
     """Read a codebook written by :func:`save_codebook`."""
     with open(path, "rb") as f:
-        raw = f.read()
+        return _parse_codebook(f.read())
+
+
+def _parse_codebook(raw: bytes) -> Codebook:
+    """The codebook held by the bytes of a codebook file, checked."""
     if len(raw) < _HEADER.size:
         raise ValueError("truncated codebook file: missing header")
     dim, bits, seed = _HEADER.unpack_from(raw)
@@ -334,6 +328,6 @@ def load_codebook(path) -> Codebook:
     vectors = np.frombuffer(raw, dtype="<c16", offset=_HEADER.size)
     vectors = vectors.reshape(size, dim)
     norms = np.linalg.norm(vectors, axis=1)
-    if np.abs(norms - 1.0).max() > 1e-9:
+    if not (np.abs(norms - 1.0) <= 1e-9).all():  # NaN norms fail too
         raise ValueError("corrupt codebook file: vectors are not unit norm")
     return Codebook(vectors, int(bits), int(dim), int(seed))

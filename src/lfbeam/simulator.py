@@ -189,16 +189,19 @@ class SimConfig:
                 f"n_pilots={self.n_pilots} must be >= n_t={self.n_t} "
                 "for estimated CSI"
             )
-        if self.pilot_snr_db is not None and not np.isfinite(self.pilot_snr_db):
-            raise ConfigError("pilot_snr_db must be finite")
         if len(self.snr_db_points) == 0:
             raise ConfigError("snr_db_points must not be empty")
-        if not np.isfinite(self.snr_db_points).all():
-            raise ConfigError("snr_db_points must be finite")
         if any(
             b <= a for a, b in zip(self.snr_db_points, self.snr_db_points[1:])
         ):
             raise ConfigError("snr_db_points must be strictly increasing")
+        # beyond +-1000 dB, 10**(snr_db/10) overflows mid-run, or a pilot
+        # power (rho / n_t by default) so small that the LS estimate
+        # overflows null-skips every subcarrier and the point never stops
+        for key in ("snr_db_points", "pilot_snr_db"):
+            db = getattr(self, key)
+            if db is not None and not (np.abs(db) <= 1000.0).all():
+                raise ConfigError(f"{key} must be finite and within +-1000 dB")
         if self.target_errors < 1:
             raise ConfigError(
                 f"target_errors must be >= 1, got {self.target_errors}"
@@ -392,8 +395,8 @@ def _draw_batch(config: SimConfig, batch: int):
 
 
 def _fresh_draws(config: SimConfig, batch: int, bits: int):
-    """The fresh codebooks of the trials of batch ``batch``, as a chunk
-    source for :func:`_best_codewords`.
+    """The fresh codebooks of the trials of batch ``batch``, as the
+    chunk source :func:`_best_codewords` takes: one codebook per trial.
 
     The batch draws the 2**bits codewords of its 256 trials from a
     stream of its own, ``SeedSequence([master_seed, batch, 1])``,
@@ -432,8 +435,9 @@ def _beam_directions(
     Quantized curves share one codebook per trial for the largest B of
     the sweep's quantized curves, running or not, so the search has one
     shape all sweep: each batch's fresh draws (:func:`_fresh_draws`), or
-    the seeded codebook every trial shares, made here once.  The B-bit
-    curve takes the best of the first 2**B codewords.
+    the seeded codebook every trial shares, made here once per block and
+    passed as one (2**B, 1, n_t) chunk.  The B-bit curve takes the best
+    of the first 2**B codewords.
     """
     t, n, n_r, n_t = hr.shape
     beams = {}
@@ -447,10 +451,11 @@ def _beam_directions(
     if set(quantized) & set(running):
         bits = [configs[c].feedback_bits for c in quantized]
         if configs[0].fresh_codebook:
-            words = _fresh_draws(configs[0], batch, max(bits))
+            chunks = _fresh_draws(configs[0], batch, max(bits))
         else:
-            words = gen_rvq(n_t, max(bits), _codebook_seed(configs[0]))
-        _, _, found = _best_codewords(hr, words, [1 << b for b in bits])
+            seed = _codebook_seed(configs[0])
+            chunks = [gen_rvq(n_t, max(bits), seed).vectors[:, None]]
+        _, _, found = _best_codewords(hr, chunks, [1 << b for b in bits])
         beams.update(zip(quantized, found))
     return beams
 

@@ -116,10 +116,12 @@ def test_criterion_3_rvq_distortion_law():
         h = z[:, 0] + 1j * z[:, 1]
         gain = np.empty(trials)
         for lo in range(0, trials, slab):
+            # one codeword-major chunk, a codebook per trial
             words = np.stack([gen_rvq(2, b, seed=(b << 24) + i).vectors
-                              for i in range(lo, lo + slab)])
+                              for i in range(lo, lo + slab)], axis=1)
             hc = h[lo : lo + slab].conj()[:, None, None]
-            gain[lo : lo + slab] = _best_codewords(hc, words)[1][:, 0]
+            gain[lo : lo + slab] = _best_codewords(
+                hc, [words], [1 << b])[1][0, :, 0]
         power = np.array([np.vdot(x, x).real for x in h])
         d = np.clip(1.0 - gain / power, 0.0, 1.0)
         mean = d.mean()

@@ -37,6 +37,18 @@ def direct_gains(h, vectors):
     return (np.abs(np.einsum("tnij,tkj->tnik", h, w)) ** 2).sum(axis=2)
 
 
+def one_chunk(vectors):
+    """A shared (k, dim) or per-group (t, k, dim) codebook as a chunk
+    source of one codeword-major (k, g, dim) chunk."""
+    return [vectors[:, None] if vectors.ndim == 2 else vectors.swapaxes(0, 1)]
+
+
+def shared_chunks(vectors, bounds):
+    """A shared (k, dim) codebook as a chunk source of (w, 1, dim)
+    chunks between ``bounds``."""
+    return (vectors[lo:hi, None] for lo, hi in zip(bounds, bounds[1:]))
+
+
 # ------------------------------------------------------------------ gen_rvq
 
 
@@ -135,10 +147,12 @@ def test_real_codewords_are_searched_and_left_unchanged():
     assert res.metric == pytest.approx(1.25)
     np.testing.assert_array_equal(cb.vectors, vectors)
     words = vectors.copy()
-    index, gain, beam = _best_codewords(h[None, None, None], words)
-    assert index[0, 0] == 1
-    assert gain[0, 0] == pytest.approx(1.25)
-    np.testing.assert_array_equal(beam[0, 0], vectors[1])
+    index, gain, beam = _best_codewords(
+        h[None, None, None], [words[:, None]], [2]
+    )
+    assert index[0, 0, 0] == 1
+    assert gain[0, 0, 0] == pytest.approx(1.25)
+    np.testing.assert_array_equal(beam[0, 0, 0], vectors[1])
     np.testing.assert_array_equal(words, vectors)
 
 
@@ -278,16 +292,19 @@ def test_kernel_chunked_scan_matches_single_pass(rng, monkeypatch):
     h = rng.standard_normal((3, 5, 2, 2)) + 1j * rng.standard_normal((3, 5, 2, 2))
     shared = gen_rvq(2, 6, seed=1)
     per_trial = np.stack([gen_rvq(2, 6, seed=s).vectors for s in range(3)])
-    # a Codebook is searched through its cached features
-    for words, vectors in ((shared, shared.vectors),
-                           (shared.vectors, shared.vectors),
-                           (per_trial, per_trial)):
-        idx, gain, _ = _best_codewords(h, words)
+    # a shared codebook in one chunk and in ragged chunks of 10, 1 and 53
+    for words, vectors in (
+        (lambda: one_chunk(shared.vectors), shared.vectors),
+        (lambda: shared_chunks(shared.vectors, (0, 10, 11, 64)),
+         shared.vectors),
+        (lambda: one_chunk(per_trial), per_trial),
+    ):
+        idx, gain, _ = (x[0] for x in _best_codewords(h, words(), [64]))
         assert np.array_equal(idx, np.argmax(direct_gains(h, vectors), axis=2))
-        # 7 codewords of 5 subcarriers per chunk: ten chunks, the last
-        # one ragged, each scored one trial at a time
+        # 7 codewords of 5 subcarriers per tile: ten tiles of one
+        # chunk, the last one ragged, each scored one trial at a time
         monkeypatch.setattr(lfbeam.codebook, "_GAIN_BUDGET", 7 * 5)
-        idx_c, gain_c, _ = _best_codewords(h, words)
+        idx_c, gain_c, _ = (x[0] for x in _best_codewords(h, words(), [64]))
         monkeypatch.undo()
         assert np.array_equal(idx_c, idx)
         # BLAS may round a narrower column block differently in the
@@ -302,8 +319,8 @@ def test_kernel_tie_across_chunk_boundary_breaks_low(monkeypatch):
     vectors = np.stack([e2, e2, e1, e1, e1, e2])
     h = np.array([[[[1.0, 0.0]]]], dtype=complex)
     monkeypatch.setattr(lfbeam.codebook, "_GAIN_BUDGET", 3)
-    idx, gain, _ = _best_codewords(h, vectors)
-    assert idx[0, 0] == 2 and gain[0, 0] == 1.0
+    idx, gain, _ = _best_codewords(h, one_chunk(vectors), [6])
+    assert idx[0, 0, 0] == 2 and gain[0, 0, 0] == 1.0
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3, 4])
@@ -323,10 +340,12 @@ def test_lifted_kernel_matches_direct_form(dim):
              + 1j * rng.standard_normal((t, n, n_r, dim)))
         h[0, 0] = 0.0
         tol = gain_tolerance(h)
-        for words, vectors in ((shared, shared.vectors),
-                               (shared.vectors, shared.vectors),
-                               (per_trial, per_trial)):
-            idx, gain, _ = _best_codewords(h, words)
+        for words, vectors in (
+            (one_chunk(shared.vectors), shared.vectors),
+            (shared_chunks(shared.vectors, (0, 3, 32)), shared.vectors),
+            (one_chunk(per_trial), per_trial),
+        ):
+            idx, gain, _ = (x[0] for x in _best_codewords(h, words, [32]))
             direct = direct_gains(h, vectors)
             best = direct.max(axis=2)
             assert idx[0, 0] == 0 and gain[0, 0] == 0.0
@@ -351,11 +370,15 @@ def test_prefix_search_equals_separate_searches(rng, monkeypatch):
     sizes = list(range(k, 0, -1))  # any order
     for vectors in (gen_rvq(2, 6, seed=3).vectors,
                     np.stack([gen_rvq(2, 6, seed=s).vectors for s in range(t)])):
-        alone = [_best_codewords(h, vectors[..., :s, :])[:2] for s in sizes]
+        alone = [
+            [x[0] for x in _best_codewords(
+                h, one_chunk(vectors[..., :s, :]), [s])[:2]]
+            for s in sizes
+        ]
         for budget in (None, 5 * n):
             if budget is not None:
                 monkeypatch.setattr(lfbeam.codebook, "_GAIN_BUDGET", budget)
-            idx, gain, beam = _best_codewords(h, vectors, sizes)
+            idx, gain, beam = _best_codewords(h, one_chunk(vectors), sizes)
             monkeypatch.undo()
             assert idx.shape == gain.shape == (k, t, n)
             # each winner's vector is kept with its index
@@ -385,7 +408,7 @@ def test_kernel_scans_a_chunk_source(rng):
     chunks = (words[:, lo:hi].swapaxes(0, 1)
               for lo, hi in zip(bounds, bounds[1:]))
     idx, gain, beam = _best_codewords(h, chunks, sizes)
-    want_idx, _, want_beam = _best_codewords(h, words, sizes)
+    want_idx, _, want_beam = _best_codewords(h, one_chunk(words), sizes)
     assert np.array_equal(idx, want_idx)
     assert np.array_equal(beam, want_beam)
     tol = gain_tolerance(h)
@@ -404,9 +427,9 @@ def test_tile_size_does_not_change_the_search(rng, monkeypatch):
     """Tiles of 7 codewords of one group, the 2**17-gain default (four
     stacks of groups on the last run of codewords) and the whole stack
     in one tile give the same index and codeword for every prefix, and
-    gains equal to rounding: for a shared codebook, as a ``Codebook``
-    and as an array, for per-group codebooks, and for a chunk source
-    whose chunk ends fall inside and on prefix ends."""
+    gains equal to rounding: for a shared codebook in one chunk and in
+    chunks, for per-group codebooks in one chunk, and for a per-group
+    chunk source whose chunk ends fall inside and on prefix ends."""
     t, n, k = 128, 64, 64
     h = rng.standard_normal((t, n, 2, 2)) + 1j * rng.standard_normal((t, n, 2, 2))
     tol = gain_tolerance(h)
@@ -416,9 +439,9 @@ def test_tile_size_does_not_change_the_search(rng, monkeypatch):
     sizes = [64, 2, 4, 16]
     bounds = (0, 3, 16, 64)
     sources = (
-        lambda: shared,
-        lambda: shared.vectors,
-        lambda: per_group,
+        lambda: one_chunk(shared.vectors),
+        lambda: shared_chunks(shared.vectors, bounds),
+        lambda: one_chunk(per_group),
         lambda: (per_group[:, lo:hi].swapaxes(0, 1)
                  for lo, hi in zip(bounds, bounds[1:])),
     )
@@ -449,7 +472,9 @@ def test_prefix_tie_across_chunk_boundary_breaks_low(monkeypatch):
         ([e2, e2, e1, e1, e1, e2], [0, 0, 2, 2, 2, 2]),
         ([e2, e2, e2, e1, e1, e1], [0, 0, 0, 3, 3, 3]),
     ):
-        idx, gain, _ = _best_codewords(h, np.stack(vectors), [1, 2, 3, 4, 5, 6])
+        idx, gain, _ = _best_codewords(
+            h, one_chunk(np.stack(vectors)), [1, 2, 3, 4, 5, 6]
+        )
         assert idx[:, 0, 0].tolist() == want
         assert gain[:, 0, 0].tolist() == [
             float(any(v is e1 for v in vectors[:s])) for s in range(1, 7)
@@ -522,3 +547,18 @@ def test_oversized_seed_rejected_on_save(tmp_path):
     cb = Codebook(gen_rvq(2, 1, seed=1).vectors, bits=1, dim=2, seed=2**32)
     with pytest.raises(ValueError):
         save_codebook(cb, tmp_path / "book.rvq")
+
+
+@pytest.mark.parametrize("vectors, bits, dim", [
+    (np.eye(3, 2), 2, 2),  # 3 vectors where bits=2 needs 4
+    (gen_rvq(3, 2, seed=1).vectors, 2, 2),  # dim-3 vectors labelled dim 2
+    (2.0 * gen_rvq(2, 1, seed=1).vectors, 1, 2),  # not unit norm
+    (np.full((2, 2), np.nan + 0j), 1, 2),
+])
+def test_save_refuses_what_load_refuses(tmp_path, vectors, bits, dim):
+    """A codebook that would not load back is refused before the file
+    is opened, so no file is left behind."""
+    path = tmp_path / "book.rvq"
+    with pytest.raises(ValueError):
+        save_codebook(Codebook(vectors, bits=bits, dim=dim, seed=0), path)
+    assert not path.exists()

@@ -870,6 +870,30 @@ def test_config_from_dict_rejects(bad):
         SimConfig.from_dict(bad)
 
 
+@pytest.mark.parametrize("bad", [
+    # 10**(snr_db/10) underflows to 0: the LS estimate is not finite, so
+    # every subcarrier is null-skipped and the point never stops
+    {"csi_mode": "estimated", "snr_db_points": [-4000.0]},
+    {"csi_mode": "estimated", "pilot_snr_db": -4000.0},
+    # positive pilot powers whose LS estimate still overflows: a
+    # subnormal one, and a normal one whose Gram products overflow on n_r = 2
+    {"csi_mode": "estimated", "pilot_snr_db": -3150.0},
+    {"csi_mode": "estimated", "n_r": 2, "pilot_snr_db": -3070.0},
+    # 10**(snr_db/10) overflows mid-run
+    {"snr_db_points": [0.0, 4000.0]},
+    {"pilot_snr_db": 1e308},
+])
+def test_config_rejects_powers_out_of_range(bad):
+    """Every linear power a run computes is checked when the config is
+    loaded, so no run hangs or fails mid-sweep on it."""
+    with pytest.raises(ConfigError, match="within"):
+        SimConfig.from_dict(bad)
+    for pilot_snr_db in (None, -1000.0, 1000.0):
+        SimConfig.from_dict({"csi_mode": "estimated", "n_t": 4,
+                             "pilot_snr_db": pilot_snr_db,
+                             "snr_db_points": [-1000.0, 1000.0]})
+
+
 @given(st.integers(0, 1000), st.integers(0, 3))
 @settings(max_examples=20, deadline=None)
 def test_trial_streams_are_reproducible(seed, batch):
