@@ -38,6 +38,10 @@ _HEADER = struct.Struct("<III")  # dim, bits, seed
 # the heap because the simulator primes glibc's malloc at import.
 _GAIN_BUDGET = 1 << 17
 
+# Normals per chunk of drawn codewords (2 MB): a codebook is drawn,
+# scored and dropped this many at a time.
+_DRAW_CHUNK = 1 << 18
+
 
 class CodebookTooLargeError(ValueError):
     """Requested more feedback bits than supported."""
@@ -76,16 +80,14 @@ def gen_rvq(dim: int, bits: int, seed: int) -> Codebook:
 
     Draws 2**bits i.i.d. CN(0, I_dim) vectors from
     ``default_rng(seed)`` and normalizes each to unit length, which is
-    the uniform distribution on the complex unit sphere.
+    the uniform distribution on the complex unit sphere: the one-group
+    case of :func:`_draw_codewords`, the simulator's one codebook draw.
 
     Real/imaginary parts are drawn interleaved per vector entry, so for
     a fixed seed the first 2**b vectors of a larger codebook equal the
     full codebook generated with ``bits=b``: codebooks of growing size
     are nested, and quantization quality is monotone in ``bits`` on any
-    fixed channel.  The simulator's fresh codebooks nest the same way,
-    though they do not come from this function: it draws them
-    codeword-major from each batch's stream, and the curve with ``b``
-    bits searches the first 2**b codewords.
+    fixed channel.
     """
     if dim < 1:
         raise ValueError(f"dim must be >= 1, got {dim}")
@@ -96,11 +98,28 @@ def gen_rvq(dim: int, bits: int, seed: int) -> Codebook:
             f"bits={bits} exceeds the maximum of {MAX_BITS}"
         )
     rng = np.random.default_rng(int(seed))
-    size = 1 << bits
-    # each drawn (re, im) pair read in place as one complex128 entry
-    g = rng.standard_normal((size, dim, 2)).view(np.complex128)[..., 0]
-    norms = np.sqrt(np.add.reduce((g.conj() * g).real, axis=1, keepdims=True))
-    return Codebook(g / norms, bits, dim, int(seed))
+    chunks = _draw_codewords(rng, 1 << bits, 1, dim)
+    return Codebook(np.concatenate(list(chunks))[:, 0], bits, dim, int(seed))
+
+
+def _draw_codewords(rng, size: int, groups: int, dim: int):
+    """``size`` unit codewords for each of ``groups`` codebooks, drawn
+    from ``rng`` as the chunk source :func:`_best_codewords` takes:
+    codeword-major (codeword 0 of every group first), each codeword
+    ``dim`` (re, im) pairs of standard normals scaled to unit length in
+    place, ``w`` codewords at a time (at most ``_DRAW_CHUNK`` normals),
+    yielded as a C-ordered (w, groups, dim) array that the search lifts
+    and gathers from without a copy.  ``standard_normal`` gives the same
+    numbers however a draw is split into calls, so codeword ``j`` of a
+    group depends on neither ``size`` nor ``w``: codebooks nest, and
+    ``w`` bounds the memory up to 20 bits.
+    """
+    step = max(1, min(size, _DRAW_CHUNK // (2 * groups * dim)))
+    for k in range(0, size, step):
+        g = rng.standard_normal((min(step, size - k), groups, dim, 2))
+        g /= np.sqrt(np.einsum("wtij,wtij->wt", g, g))[..., None, None]
+        yield g.view(np.complex128)[..., 0]
+        del g  # dropped before the next chunk is drawn
 
 
 def quantize_direction(h: np.ndarray, codebook: Codebook) -> QuantizationResult:
@@ -288,12 +307,13 @@ def save_codebook(codebook: Codebook, path) -> None:
     vectors as row-major little-endian complex128: float64 real and
     imaginary parts interleaved per entry.  The payload round-trips bit
     for bit, signed zeros included.  What :func:`load_codebook` would
-    refuse is refused before the file is opened.
+    refuse, and a header field that does not fit its u32, is refused
+    with ``ValueError`` before the file is opened.
     """
-    if not 0 <= codebook.seed < 2**32:
-        raise ValueError(
-            f"seed {codebook.seed} does not fit the u32 header field"
-        )
+    for key in ("dim", "bits", "seed"):
+        value = getattr(codebook, key)
+        if not 0 <= value < 2**32:
+            raise ValueError(f"{key} {value} does not fit the u32 header field")
     if np.shape(codebook.vectors)[1:] != (codebook.dim,):
         raise ValueError(
             f"codebook vectors have shape {np.shape(codebook.vectors)}, "

@@ -22,21 +22,22 @@ Reproducibility: trials come in fixed batches of 256, and batch ``b``
 (trials ``256*b`` to ``256*b + 255``) draws from one stream,
 ``SeedSequence([master_seed, b])``, one call per array in a fixed order:
 data bits, taps, pilot noise when CSI is estimated and data noise, 256
-rows each.  A trial's draws are its row of each array, the same on
-every curve of one link.  The quantized curves of a sweep share one
-codebook per trial, made once per block for the largest B among them,
-and the B-bit curve searches its first 2**B codewords.  A fresh
-codebook comes from a second stream of the batch, ``SeedSequence(
-[master_seed, b, 1])``, codeword-major: the 2**B codewords of all 256
-trials, codeword 0 first.  A fixed one is the seeded :func:`gen_rvq`
-codebook shared by every trial, whose smaller codebooks are its
-prefixes.  One loop over whole batches serves every SNR point and
-curve: each batch is drawn once and scored for every (curve, SNR) pair
-still running, and each pair stops on its own rule.  A block is one
-batch and depends on the curves' configs, the running pairs and the
-batch index alone.  Draws depend on neither the pair nor the worker
-count, so sweeps share common random numbers across SNR points and
-curves, and results are bit-identical for any worker count.
+rows each.  A trial's draws are its row of each array, the same on every
+curve of one link.  The quantized curves of a sweep share one codebook
+per trial, made once per block for the largest B among them, and the
+B-bit curve searches its first 2**B codewords.  One routine,
+``codebook._draw_codewords``, draws every codebook codeword-major: the
+fresh ones of a batch's 256 trials from a second stream of the batch,
+``SeedSequence([master_seed, b, 1])``, codeword 0 of every trial first,
+and a fixed one, shared by every trial, as its one-group case, the
+seeded :func:`gen_rvq` codebook.  Smaller codebooks are prefixes either
+way.  One loop over whole batches serves every SNR point and curve: each
+batch is drawn once and scored for every (curve, SNR) pair still
+running, and each pair stops on its own rule.  A block is one batch and
+depends on the curves' configs, the running pairs and the batch index
+alone.  Draws depend on neither the pair nor the worker count, so sweeps
+share common random numbers across SNR points and curves, and results
+are bit-identical for any worker count.
 """
 
 from __future__ import annotations
@@ -53,7 +54,8 @@ import numpy as np
 from .channel import (
     _complex_normal, ls_estimate, make_phase_shift_training, to_subcarriers,
 )
-from .codebook import _best_codewords, gen_rvq
+from .codebook import _best_codewords, _draw_codewords
+from .codebook import gen_rvq  # noqa: F401 (perfbench traces it here)
 from .numerics import _sum_rows, dominant_right_eigvec_batch
 from .beamforming import apply_power_constraint  # noqa: F401 (perfbench traces it here)
 
@@ -87,10 +89,6 @@ TRIALS_PER_BATCH = 256
 # SeedSequence stream key for the shared codebook in fixed-codebook
 # mode; far outside any reachable batch index.
 _CODEBOOK_STREAM = 2**62 + 11
-
-# Normals per chunk of fresh codebooks (2 MB): the codewords of a batch
-# are drawn, scored and dropped this many at a time.
-_DRAW_CHUNK = 1 << 18
 
 # Prime glibc's malloc: freeing one untouched 16 MB mapping raises its
 # mmap threshold to 16 MB and its trim threshold to 32 MB (mallopt(3)),
@@ -197,7 +195,7 @@ class SimConfig:
             raise ConfigError("snr_db_points must be strictly increasing")
         # beyond +-1000 dB, 10**(snr_db/10) overflows mid-run, or a pilot
         # power (rho / n_t by default) so small that the LS estimate
-        # overflows null-skips every subcarrier and the point never stops
+        # overflows null-skips every subcarrier and no bit is ever sent
         for key in ("snr_db_points", "pilot_snr_db"):
             db = getattr(self, key)
             if db is not None and not (np.abs(db) <= 1000.0).all():
@@ -394,32 +392,6 @@ def _draw_batch(config: SimConfig, batch: int):
     return bits, to_subcarriers(taps, n), pilot, noise
 
 
-def _fresh_draws(config: SimConfig, batch: int, bits: int):
-    """The fresh codebooks of the trials of batch ``batch``, as the
-    chunk source :func:`_best_codewords` takes: one codebook per trial.
-
-    The batch draws the 2**bits codewords of its 256 trials from a
-    stream of its own, ``SeedSequence([master_seed, batch, 1])``,
-    codeword-major (codeword 0 of every trial first), each as n_t
-    (re, im) pairs of standard normals scaled to unit length in place,
-    ``w`` codewords at a time (at most ``_DRAW_CHUNK`` normals), yielded
-    as a C-ordered codeword-major (w, 256, n_t) array, which the search
-    lifts and gathers from without a copy.  ``standard_normal`` gives the
-    same numbers however a draw is split into calls, so codeword ``j`` of
-    a trial depends on neither ``bits`` nor ``w``, and ``w`` bounds the
-    memory up to 20 bits.
-    """
-    t = TRIALS_PER_BATCH
-    rng = np.random.default_rng([int(config.master_seed), batch, 1])
-    size = 1 << bits
-    step = max(1, min(size, _DRAW_CHUNK // (2 * t * config.n_t)))
-    for k in range(0, size, step):
-        g = rng.standard_normal((min(step, size - k), t, config.n_t, 2))
-        g /= np.sqrt(np.einsum("wtij,wtij->wt", g, g))[..., None, None]
-        yield g.view(np.complex128)[..., 0]
-        del g  # dropped before the next chunk is drawn
-
-
 def _beam_directions(
     configs: list[SimConfig],
     running: list[int],
@@ -434,10 +406,11 @@ def _beam_directions(
     running.  Unquantized curves take the dominant right eigenvector.
     Quantized curves share one codebook per trial for the largest B of
     the sweep's quantized curves, running or not, so the search has one
-    shape all sweep: each batch's fresh draws (:func:`_fresh_draws`), or
-    the seeded codebook every trial shares, made here once per block and
-    passed as one (2**B, 1, n_t) chunk.  The B-bit curve takes the best
-    of the first 2**B codewords.
+    shape all sweep: one per trial from the batch's stream
+    ``SeedSequence([master_seed, batch, 1])`` when codebooks are fresh,
+    else one that every trial shares, from :func:`_codebook_seed`, drawn
+    here once per block by :func:`_draw_codewords`.  The B-bit curve
+    takes the best of the first 2**B codewords.
     """
     t, n, n_r, n_t = hr.shape
     beams = {}
@@ -451,10 +424,12 @@ def _beam_directions(
     if set(quantized) & set(running):
         bits = [configs[c].feedback_bits for c in quantized]
         if configs[0].fresh_codebook:
-            chunks = _fresh_draws(configs[0], batch, max(bits))
+            seed, groups = [int(configs[0].master_seed), batch, 1], t
         else:
-            seed = _codebook_seed(configs[0])
-            chunks = [gen_rvq(n_t, max(bits), seed).vectors[:, None]]
+            seed, groups = _codebook_seed(configs[0]), 1
+        chunks = _draw_codewords(
+            np.random.default_rng(seed), 1 << max(bits), groups, n_t
+        )
         _, _, found = _best_codewords(hr, chunks, [1 << b for b in bits])
         beams.update(zip(quantized, found))
     return beams
@@ -606,17 +581,18 @@ def run_sweeps(
     Trials run in fixed batches of ``TRIALS_PER_BATCH`` from trial 0.
     Each batch is drawn once and scored for every (curve, SNR) pair
     still running; a pair stops once it has counted ``target_errors``
-    bit errors or sent ``max_bits`` bits, and ``on_point(label, point)``
-    is called as it does.  ``n_workers`` processes (0 picks the CPU
-    count) take whole batches, up to ``2 * n_workers`` in flight and
-    topped up as each result comes back (one at a time in this process
-    for one worker), but never more than the bit cap of the running
-    pairs can still use.  A batch carries the running pairs as they
-    stood when it was sent, and pairs only stop; results are reduced in
-    batch order and a pair ignores batches past its stopping point, so
-    the result is identical for every worker count.  An error terminates
-    the pool without waiting for the batches in flight.  Each curve may
-    appear once; a repeated curve raises :class:`ConfigError`.
+    bit errors or spent ``max_bits`` bits, sent or null-skipped, and
+    ``on_point(label, point)`` is called as it does.  ``n_workers``
+    processes (0 picks the CPU count) take whole batches, up to
+    ``2 * n_workers`` in flight and topped up as each result comes back
+    (one at a time in this process for one worker), but never more than
+    the bit cap of the running pairs can still use.  A batch carries the
+    running pairs as they stood when it was sent, and pairs only stop;
+    results are reduced in batch order and a pair ignores batches past
+    its stopping point, so the result is identical for every worker
+    count.  An error terminates the pool without waiting for the batches
+    in flight.  Each curve may appear once; a repeated curve raises
+    :class:`ConfigError`.
     """
     configs = [replace(config, feedback_bits=bits) for bits in curves]
     for cfg in configs:
@@ -628,6 +604,7 @@ def run_sweeps(
     snrs = config.snr_db_points
     totals = np.zeros((len(configs), len(snrs), 3), dtype=np.int64)
     active = np.ones(totals.shape[:2], dtype=bool)
+    spent = np.zeros(active.shape, dtype=np.int64)  # bits sent or skipped
     points: dict[tuple[int, int], BerPoint] = {}
     batch_bits = (
         TRIALS_PER_BATCH * config.n_subcarriers * config.bits_per_symbol
@@ -644,19 +621,19 @@ def run_sweeps(
     next_batch = 0
     try:
         while active.any():
-            # null skips send fewer bits, so this is a lower bound and a
-            # later batch picks up any shortfall
-            left = config.max_bits - totals[..., 0][active].min()
+            left = config.max_bits - spent[active].min()
             wanted = min(window, -(-int(left) // batch_bits))
             while len(in_flight) < wanted:
                 in_flight.append(submit((configs, active, next_batch)))
                 next_batch += 1
             # reduced in batch order, whichever worker finishes first
             totals += in_flight.popleft()()
-            bits_sent, bit_errors = totals[..., 0], totals[..., 1]
+            # a null-skipped subcarrier spends its bits unsent, so a pair
+            # that skips every subcarrier still stops
+            spent = totals[..., 0] + totals[..., 2] * config.bits_per_symbol
             done = active & (
-                (bit_errors >= config.target_errors)
-                | (bits_sent >= config.max_bits)
+                (totals[..., 1] >= config.target_errors)
+                | (spent >= config.max_bits)
             )
             # a new array: the batches in flight keep the mask they
             # were sent with

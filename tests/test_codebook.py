@@ -554,6 +554,8 @@ def test_oversized_seed_rejected_on_save(tmp_path):
     (gen_rvq(3, 2, seed=1).vectors, 2, 2),  # dim-3 vectors labelled dim 2
     (2.0 * gen_rvq(2, 1, seed=1).vectors, 1, 2),  # not unit norm
     (np.full((2, 2), np.nan + 0j), 1, 2),
+    (gen_rvq(2, 0, seed=1).vectors, -1, 2),  # bits outside the u32 field
+    (gen_rvq(2, 0, seed=1).vectors, 2**32, 2),
 ])
 def test_save_refuses_what_load_refuses(tmp_path, vectors, bits, dim):
     """A codebook that would not load back is refused before the file

@@ -216,6 +216,15 @@ def _replay_codebooks(cfg, batch, bits):
     return g.view(np.complex128)[..., 0]
 
 
+def _fresh_chunks(cfg, batch, bits):
+    """The chunks :func:`_draw_codewords` yields for the fresh codebooks
+    of one batch, drawn from the batch's codebook stream."""
+    rng = np.random.default_rng([cfg.master_seed, batch, 1])
+    return list(lfbeam.codebook._draw_codewords(
+        rng, 1 << bits, TRIALS_PER_BATCH, cfg.n_t
+    ))
+
+
 def _are_codewords(beams, words):
     """Whether every beam (n, n_t) is one of the codewords (k, n_t)."""
     return all((words == beam).all(axis=1).any() for beam in beams)
@@ -235,7 +244,7 @@ def test_draw_order_is_documented_order():
         for drawn, arr in zip(_draw_batch(cfg, b), want):
             assert np.array_equal(drawn, arr)
     books = {b: _replay_codebooks(cfg, b, cfg.feedback_bits) for b in (1, 2)}
-    drawn = list(lfbeam.simulator._fresh_draws(cfg, 2, cfg.feedback_bits))
+    drawn = _fresh_chunks(cfg, 2, cfg.feedback_bits)
     # codeword-major chunks, (w, 256, n_t) in C order
     assert all(g.flags.c_contiguous for g in drawn)
     assert np.array_equal(np.concatenate(drawn), books[2])
@@ -317,6 +326,38 @@ def test_fixed_codebook_mode_shares_one_codebook():
     assert one_batch(cfg, 6.0, 0) != one_batch(fresh, 6.0, 0)
 
 
+def test_fixed_codebook_is_the_gen_rvq_codebook(monkeypatch):
+    """The codebook that fixed-codebook curves search is
+    ``gen_rvq(n_t, B, _codebook_seed(cfg))``, one group of codewords.
+    Drawn in chunks of 3 codewords, that codebook, its prefixes, the
+    smaller ``gen_rvq`` codebooks and the beams searched from it do not
+    change."""
+    cfg = SimConfig(feedback_bits=5, fresh_codebook=False, **FAST)
+    seed = _codebook_seed(cfg)
+    want = lfbeam.codebook.gen_rvq(cfg.n_t, 5, seed).vectors
+    searched = []
+    search = lfbeam.simulator._best_codewords
+
+    def search_spy(h, chunks, sizes):
+        searched.extend(chunks)
+        return search(h, searched, sizes)
+
+    _, h, _, _ = _draw_batch(cfg, 0)
+    with monkeypatch.context() as m:
+        m.setattr(lfbeam.simulator, "_best_codewords", search_spy)
+        beams = lfbeam.simulator._beam_directions([cfg], [0], h, 0)[0]
+    assert [g.shape for g in searched] == [(32, 1, cfg.n_t)]
+    assert np.array_equal(searched[0][:, 0], want)
+    monkeypatch.setattr(lfbeam.codebook, "_DRAW_CHUNK", 3 * 2 * cfg.n_t)
+    assert np.array_equal(lfbeam.codebook.gen_rvq(cfg.n_t, 5, seed).vectors,
+                          want)
+    for bits in range(5):
+        small = lfbeam.codebook.gen_rvq(cfg.n_t, bits, seed).vectors
+        assert np.array_equal(small, want[: 1 << bits])
+    chunked = lfbeam.simulator._beam_directions([cfg], [0], h, 0)[0]
+    assert np.array_equal(chunked, beams)
+
+
 def test_fixed_curves_share_one_search(monkeypatch):
     """Fixed-codebook curves 1, 4 and 8 next to the perfect curve search
     one seeded 256-word codebook: each ``_beam_directions`` call with a
@@ -330,12 +371,13 @@ def test_fixed_curves_share_one_search(monkeypatch):
         for bits in curves
     ]
     made, searches = [], []
-    gen = lfbeam.simulator.gen_rvq
+    draw = lfbeam.simulator._draw_codewords
     search = lfbeam.simulator._beam_directions
 
-    def gen_spy(dim, bits, seed):
+    def draw_spy(rng, size, groups, dim):
+        bits, seed = size.bit_length() - 1, rng.bit_generator.seed_seq.entropy
         made.append((bits, seed))
-        return gen(dim, bits, seed)
+        return draw(rng, size, groups, dim)
 
     def search_spy(configs, running, hr, batch):
         searches.append(
@@ -343,7 +385,7 @@ def test_fixed_curves_share_one_search(monkeypatch):
         )
         return search(configs, running, hr, batch)
 
-    monkeypatch.setattr(lfbeam.simulator, "gen_rvq", gen_spy)
+    monkeypatch.setattr(lfbeam.simulator, "_draw_codewords", draw_spy)
     monkeypatch.setattr(lfbeam.simulator, "_beam_directions", search_spy)
     joint = run_sweeps(cfg, curves)
     assert [c.to_csv_text() for c in joint] == alone
@@ -524,15 +566,15 @@ def test_codeword_chunks_do_not_change_results(monkeypatch):
 
     batches = (0, 3)
     whole = [run(batch) for batch in batches]
-    one = list(lfbeam.simulator._fresh_draws(cfg, 0, 8))
+    one = _fresh_chunks(cfg, 0, 8)
     assert [g.shape for g in one] == [(256,) + shape]
     for draw_chunk, budget, width in (
         (4 * per_codeword, lfbeam.codebook._GAIN_BUDGET, 4),
-        (lfbeam.simulator._DRAW_CHUNK, 7 * cfg.n_subcarriers, 256),
+        (lfbeam.codebook._DRAW_CHUNK, 7 * cfg.n_subcarriers, 256),
     ):
-        monkeypatch.setattr(lfbeam.simulator, "_DRAW_CHUNK", draw_chunk)
+        monkeypatch.setattr(lfbeam.codebook, "_DRAW_CHUNK", draw_chunk)
         monkeypatch.setattr(lfbeam.codebook, "_GAIN_BUDGET", budget)
-        drawn = list(lfbeam.simulator._fresh_draws(cfg, 0, 8))
+        drawn = _fresh_chunks(cfg, 0, 8)
         assert [g.shape for g in drawn] == [(width,) + shape] * (256 // width)
         assert np.array_equal(np.concatenate(drawn), one[0])
         for (beams, totals), batch in zip(whole, batches):
@@ -547,7 +589,7 @@ def test_fresh_curve_does_not_depend_on_the_largest_curve():
     width: next to a B=10 curve, whose 1,024 codewords are drawn in
     several chunks, the B=1 curve equals the B=1 curve swept alone."""
     cfg = SimConfig(**FAST)
-    assert len(list(lfbeam.simulator._fresh_draws(cfg, 0, 10))) > 1
+    assert len(_fresh_chunks(cfg, 0, 10)) > 1
     joint = run_sweeps(cfg, [1, 10])
     alone = run_sweep(replace(cfg, feedback_bits=1))
     assert joint[0].to_csv_text() == alone.to_csv_text()
@@ -745,6 +787,44 @@ def test_sweep_stops_on_error_target():
     assert point.bit_errors >= cfg.target_errors
     # one batch granularity: no more than one extra batch of bits
     assert point.bits_sent <= cfg.max_bits + TRIALS_PER_BATCH * 64
+
+
+# Run in a fresh interpreter: a sweep whose every subcarrier is
+# null-skipped, on an all-zero channel.
+_ALL_SKIP_SCRIPT = """
+import numpy as np
+import lfbeam.simulator
+from lfbeam.simulator import SimConfig, run_sweeps
+draw = lfbeam.simulator._draw_batch
+
+def zero_channel(config, batch):
+    bits, h, pilot, noise = draw(config, batch)
+    return bits, np.zeros_like(h), pilot, noise
+
+lfbeam.simulator._draw_batch = zero_channel
+cfg = SimConfig(snr_db_points=(0.0, 6.0), max_bits=50_000)
+for curve in run_sweeps(cfg, [None, 2]):
+    for p in curve.points:
+        print(curve.label, p.bits_sent, p.bit_errors, p.null_skips,
+              p.converged)
+"""
+
+
+def test_sweep_that_skips_every_subcarrier_stops():
+    """Null-skipped subcarriers spend their bits toward ``max_bits``, so
+    a pair that skips every subcarrier stops at the bit cap, with no
+    bits sent, instead of running forever."""
+    src = os.path.dirname(os.path.dirname(lfbeam.simulator.__file__))
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
+    run = subprocess.run([sys.executable, "-c", _ALL_SKIP_SCRIPT], env=env,
+                         capture_output=True, text=True, check=True,
+                         timeout=60)
+    # 4 batches of 256 trials x 64 subcarriers reach the 50,000-bit cap
+    skips = 4 * TRIALS_PER_BATCH * 64
+    assert run.stdout.splitlines() == [
+        f"{label} 0 0 {skips} False"
+        for label in ("perfect", "perfect", "rvq-b2", "rvq-b2")
+    ]
 
 
 def test_sweep_flags_unconverged_points():
