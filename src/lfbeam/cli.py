@@ -164,11 +164,7 @@ def run_experiment(
         "curves": [
             {
                 "label": c.label,
-                "feedback_bits": (
-                    "perfect"
-                    if c.config.feedback_bits is None
-                    else c.config.feedback_bits
-                ),
+                "feedback_bits": c.config.to_dict()["feedback_bits"],
             }
             for c in results
         ],

@@ -131,7 +131,8 @@ def quantize_direction(h: np.ndarray, codebook: Codebook) -> QuantizationResult:
 
     Returns the winning index, the alignment ``metric = |h^H w|^2``,
     and ``distortion = 1 - metric / ||h||^2`` (the squared sine, i.e.
-    the fraction of beamforming gain lost to quantization).
+    the fraction of beamforming gain lost to quantization): the
+    one-row case ``H = h^H`` of :func:`select_beamformer`.
     """
     h = np.asarray(h, dtype=np.complex128).reshape(-1)
     if h.shape[0] != codebook.dim:
@@ -142,12 +143,7 @@ def quantize_direction(h: np.ndarray, codebook: Codebook) -> QuantizationResult:
     if power == 0.0:
         raise ZeroChannelError("cannot quantize an all-zero channel")
     # |h^H w|^2 is ||H w||^2 for the one-row channel H = h^H
-    index, gain, _ = _best_codewords(
-        h.conj()[None, None, None], [codebook.vectors[:, None]], [len(codebook)]
-    )
-    metric = float(gain[0, 0, 0])
-    distortion = min(max(1.0 - metric / power, 0.0), 1.0)
-    return QuantizationResult(int(index[0, 0, 0]), distortion, metric)
+    return _quantize(h.conj()[None], codebook, power)
 
 
 def select_beamformer(
@@ -171,17 +167,22 @@ def select_beamformer(
         raise ValueError(
             f"channel has {h.shape[1]} columns, codebook has dim {codebook.dim}"
         )
+    _, lam = dominant_right_eigvec_batch(h[None])
+    return _quantize(h, codebook, float(lam[0]))
+
+
+def _quantize(h: np.ndarray, codebook: Codebook, reference: float):
+    """The codeword maximizing ``||H w||^2`` for one (n_r, dim) channel
+    ``h``; ``distortion`` is ``1 - metric / reference`` clipped to [0, 1]
+    for the unquantized gain ``reference``, or 0 if that is not positive.
+    """
     index, gain, _ = _best_codewords(
         h[None, None], [codebook.vectors[:, None]], [len(codebook)]
     )
     metric = float(gain[0, 0, 0])
-    _, lam = dominant_right_eigvec_batch(h[None])
-    top = float(lam[0])
-    if top <= 0.0:
-        distortion = 0.0
-    else:
-        distortion = min(max(1.0 - metric / top, 0.0), 1.0)
-    return QuantizationResult(int(index[0, 0, 0]), distortion, metric)
+    lost = 1.0 - metric / reference if reference > 0.0 else 0.0
+    return QuantizationResult(int(index[0, 0, 0]), min(max(lost, 0.0), 1.0),
+                              metric)
 
 
 def _lift(x: np.ndarray) -> np.ndarray:

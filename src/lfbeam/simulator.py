@@ -43,7 +43,7 @@ are bit-identical for any worker count.
 from __future__ import annotations
 
 import collections
-import multiprocessing
+import concurrent.futures
 import numbers
 import os
 from dataclasses import asdict, dataclass, replace
@@ -54,7 +54,7 @@ import numpy as np
 from .channel import (
     _complex_normal, ls_estimate, make_phase_shift_training, to_subcarriers,
 )
-from .codebook import _best_codewords, _draw_codewords
+from .codebook import MAX_BITS, _best_codewords, _draw_codewords
 from .codebook import gen_rvq  # noqa: F401 (perfbench traces it here)
 from .numerics import _sum_rows, dominant_right_eigvec_batch
 from .beamforming import apply_power_constraint  # noqa: F401 (perfbench traces it here)
@@ -77,7 +77,6 @@ __all__ = [
 
 MODULATIONS = ("bpsk", "qpsk")
 CSI_MODES = ("perfect", "estimated")
-MAX_FEEDBACK_BITS = 20
 _INT_FIELDS = ("n_t", "n_r", "n_subcarriers", "n_taps", "n_pilots",
                "target_errors", "max_bits", "master_seed")
 
@@ -172,10 +171,10 @@ class SimConfig:
                 f"{self.modulation!r}"
             )
         if self.feedback_bits is not None and not (
-            0 <= self.feedback_bits <= MAX_FEEDBACK_BITS
+            0 <= self.feedback_bits <= MAX_BITS
         ):
             raise ConfigError(
-                f"feedback_bits must be in [0, {MAX_FEEDBACK_BITS}] or "
+                f"feedback_bits must be in [0, {MAX_BITS}] or "
                 f"'perfect', got {self.feedback_bits}"
             )
         if self.csi_mode not in CSI_MODES:
@@ -580,19 +579,22 @@ def run_sweeps(
 
     Trials run in fixed batches of ``TRIALS_PER_BATCH`` from trial 0.
     Each batch is drawn once and scored for every (curve, SNR) pair
-    still running; a pair stops once it has counted ``target_errors``
-    bit errors or spent ``max_bits`` bits, sent or null-skipped, and
+    still running.  A batch spends ``256 * N * bits_per_symbol`` bits of
+    every pair it scores, sent or null-skipped, and a running pair has
+    been scored on every batch reduced so far, so the bit cap is a batch
+    count: a pair stops once it has counted ``target_errors`` bit errors
+    or ``ceil(max_bits / batch_bits)`` batches have been reduced, and
     ``on_point(label, point)`` is called as it does.  ``n_workers``
     processes (0 picks the CPU count) take whole batches, up to
     ``2 * n_workers`` in flight and topped up as each result comes back
-    (one at a time in this process for one worker), but never more than
-    the bit cap of the running pairs can still use.  A batch carries the
-    running pairs as they stood when it was sent, and pairs only stop;
-    results are reduced in batch order and a pair ignores batches past
-    its stopping point, so the result is identical for every worker
-    count.  An error terminates the pool without waiting for the batches
-    in flight.  Each curve may appear once; a repeated curve raises
-    :class:`ConfigError`.
+    (one at a time in this process for one worker), but none past the
+    cap.  A batch carries the running pairs as they stood when it was
+    sent, and pairs only stop; results are reduced in batch order and a
+    pair ignores batches past its stopping point, so the result is
+    identical for every worker count.  An error, a worker's own or the
+    ``BrokenProcessPool`` of a worker that died, is raised at once and
+    stops the workers without waiting for the batches in flight.  Each
+    curve may appear once; a repeated curve raises :class:`ConfigError`.
     """
     configs = [replace(config, feedback_bits=bits) for bits in curves]
     for cfg in configs:
@@ -604,36 +606,32 @@ def run_sweeps(
     snrs = config.snr_db_points
     totals = np.zeros((len(configs), len(snrs), 3), dtype=np.int64)
     active = np.ones(totals.shape[:2], dtype=bool)
-    spent = np.zeros(active.shape, dtype=np.int64)  # bits sent or skipped
     points: dict[tuple[int, int], BerPoint] = {}
-    batch_bits = (
-        TRIALS_PER_BATCH * config.n_subcarriers * config.bits_per_symbol
+    cap = -(-config.max_bits // (TRIALS_PER_BATCH * config.n_subcarriers
+                                 * config.bits_per_symbol))  # in batches
+    pool = (
+        concurrent.futures.ProcessPoolExecutor(n_workers)
+        if n_workers > 1 else None
     )
-    pool = multiprocessing.Pool(n_workers) if n_workers > 1 else None
     window = 2 * n_workers if pool is not None else 1
 
     def submit(task):
         if pool is None:
             return lambda: _run_block(*task)
-        return pool.apply_async(_run_block, task).get
+        return pool.submit(_run_block, *task).result
 
     in_flight = collections.deque()
-    next_batch = 0
+    next_batch = reduced = 0
     try:
         while active.any():
-            left = config.max_bits - spent[active].min()
-            wanted = min(window, -(-int(left) // batch_bits))
-            while len(in_flight) < wanted:
+            while next_batch < min(reduced + window, cap):
                 in_flight.append(submit((configs, active, next_batch)))
                 next_batch += 1
             # reduced in batch order, whichever worker finishes first
             totals += in_flight.popleft()()
-            # a null-skipped subcarrier spends its bits unsent, so a pair
-            # that skips every subcarrier still stops
-            spent = totals[..., 0] + totals[..., 2] * config.bits_per_symbol
+            reduced += 1
             done = active & (
-                (totals[..., 1] >= config.target_errors)
-                | (spent >= config.max_bits)
+                (totals[..., 1] >= config.target_errors) | (reduced >= cap)
             )
             # a new array: the batches in flight keep the mask they
             # were sent with
@@ -655,7 +653,11 @@ def run_sweeps(
                     on_point(labels[c], points[c, s])
     finally:
         if pool is not None:
-            pool.terminate()
+            # shutdown() waits for running batches; Python 3.11 has no
+            # terminate_workers(), so stop them via private ``_processes``
+            for proc in list(pool._processes.values()):
+                proc.terminate()
+            pool.shutdown(wait=True, cancel_futures=True)
     return [
         BerCurve(labels[c], cfg, tuple(points[c, s] for s in range(len(snrs))))
         for c, cfg in enumerate(configs)

@@ -1,5 +1,5 @@
+import concurrent.futures
 import multiprocessing
-import multiprocessing.pool
 import os
 import pickle
 import platform
@@ -670,13 +670,13 @@ def pool_tasks(monkeypatch):
     """The tasks every worker pool is sent, one ``_run_block`` call each,
     in the order they are submitted."""
     sent = []
-    apply_async = multiprocessing.pool.Pool.apply_async
+    submit = concurrent.futures.ProcessPoolExecutor.submit
 
-    def spy(self, fn, args=(), *rest, **kwargs):
+    def spy(self, fn, /, *args, **kwargs):
         sent.append(args)
-        return apply_async(self, fn, args, *rest, **kwargs)
+        return submit(self, fn, *args, **kwargs)
 
-    monkeypatch.setattr(multiprocessing.pool.Pool, "apply_async", spy)
+    monkeypatch.setattr(concurrent.futures.ProcessPoolExecutor, "submit", spy)
     return sent
 
 
@@ -728,6 +728,44 @@ def test_worker_error_terminates_the_pool(monkeypatch):
         run_sweeps(SimConfig(**FAST), [None], n_workers=2)
     assert time.perf_counter() - start < 30
     assert multiprocessing.active_children() == []
+
+
+# Run in a fresh interpreter: a 2-worker sweep whose worker is killed
+# on batch 3.
+_KILLED_WORKER_SCRIPT = """
+import multiprocessing, os, signal, time
+from concurrent.futures.process import BrokenProcessPool
+import lfbeam.simulator
+from lfbeam.simulator import SimConfig, run_sweeps
+draw = lfbeam.simulator._draw_batch
+
+def killed_on_batch_3(config, batch):
+    if batch == 3:
+        os.kill(os.getpid(), signal.SIGKILL)
+    return draw(config, batch)
+
+lfbeam.simulator._draw_batch = killed_on_batch_3
+cfg = SimConfig(snr_db_points=(20.0,), target_errors=10**6, max_bits=10**7)
+start = time.perf_counter()
+try:
+    run_sweeps(cfg, [None], n_workers=2)
+except BrokenProcessPool:
+    print(time.perf_counter() - start, len(multiprocessing.active_children()))
+"""
+
+
+def test_killed_worker_fails_the_sweep():
+    """A worker killed mid-batch fails the sweep with
+    ``BrokenProcessPool`` within seconds, leaving no worker behind,
+    instead of waiting for its batch forever."""
+    src = os.path.dirname(os.path.dirname(lfbeam.simulator.__file__))
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
+    run = subprocess.run([sys.executable, "-c", _KILLED_WORKER_SCRIPT],
+                         env=env, capture_output=True, text=True, check=True,
+                         timeout=60)
+    elapsed, children = run.stdout.split()
+    assert float(elapsed) < 10
+    assert children == "0"
 
 
 def test_capped_sweep_sends_no_spare_batches(monkeypatch, pool_tasks):
