@@ -49,6 +49,10 @@ median and the range of the paired ratios (this checkout's time over
 REV's; below 1 is faster), each side's median time, and the ``src/``
 line count of each side.  The machine's speed drifts between runs, so
 a gain is quoted from the paired ratios, not from two absolute records.
+Both trees are driven through this script's calls of ``_draw_batch``,
+``_beam_directions``, ``_receiver_links`` and ``_run_block``, so a
+revision whose signature of any of these four differs from this
+checkout's cannot be timed against it.
 """
 
 import os
@@ -278,7 +282,10 @@ def main(argv=None):
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("--out", required=True, help="JSON record to write")
     p.add_argument("--against", metavar="REV",
-                   help="time this checkout against git revision REV")
+                   help="time this checkout against git revision REV; "
+                        "REV must have this checkout's signatures of "
+                        "_draw_batch, _beam_directions, _receiver_links "
+                        "and _run_block")
     p.add_argument("--src",
                    help="time only the stages, of the library sources in "
                         "SRC (default: this checkout's, and the pool)")

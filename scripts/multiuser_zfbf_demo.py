@@ -25,8 +25,8 @@ from lfbeam.codebook import gen_rvq, quantize_direction
 
 
 def drop_sinrs(h, directions, total_power):
-    p = zfbf_precoders(directions)
-    return [zfbf_sinr(h[u], p, u, total_power) for u in range(len(h))]
+    beams = zfbf_precoders(directions)
+    return [zfbf_sinr(h[u], beams, u, total_power) for u in range(len(h))]
 
 
 def main(argv=None):

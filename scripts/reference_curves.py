@@ -1,17 +1,22 @@
 #!/usr/bin/env python3
 """Print the closed-form reference values the simulator is checked against.
 
-Two tables:
+Four tables:
 
 * flat-Rayleigh BPSK bit error rate for a single receive branch and for
-  two-branch maximum-ratio combining, over an SNR grid, and
+  two-branch maximum-ratio combining, over an SNR grid,
 * the expected minimum quantization distortion of a random codebook on
-  two transmit antennas, which for 2^B unit vectors is 1/(2^B + 1).
+  two transmit antennas, which for 2^B unit vectors is 1/(2^B + 1),
+* the exact perfect-CSI bit error rate of the fig3-mimo22 preset (2x2
+  QPSK on the dominant eigenmode), and
+* the exact perfect-feedback bit error rate of the fig4-estimated
+  preset (2x1 BPSK beamformed and combined on an LS channel estimate).
 
 With --check, a short Monte Carlo run is placed next to each closed
 form: perfect-CSI beamforming on a 2x1 link lands on the two-branch
-curve, a single random beam (B=0) lands on the one-branch curve, and
-an empirical distortion mean lands on the 1/(2^B+1) law.
+curve, a single random beam (B=0) lands on the one-branch curve, an
+empirical distortion mean lands on the 1/(2^B+1) law, and the perfect
+curves of fig3-mimo22 and fig4-estimated land on their exact values.
 """
 
 import argparse
@@ -22,9 +27,15 @@ import numpy as np
 # the package, and the closed forms the tests check it against
 sys.path[:0] = ["src", "tests"]
 
+from lfbeam.cli import PRESETS
 from lfbeam.codebook import gen_rvq, quantize_direction
 from lfbeam.simulator import SimConfig, run_sweeps
-from oracles import min_uniform_mean, rayleigh_mrc_bpsk_ber
+from oracles import (
+    estimated_mrc_bpsk_ber,
+    max_eigenmode_qpsk_ber,
+    min_uniform_mean,
+    rayleigh_mrc_bpsk_ber,
+)
 
 
 def run_check(snrs, target_errors, max_bits, seed):
@@ -33,6 +44,14 @@ def run_check(snrs, target_errors, max_bits, seed):
         n_t=2, n_r=1, snr_db_points=tuple(snrs),
         target_errors=target_errors, max_bits=max_bits, master_seed=seed,
     ), [None, 0])
+
+
+def run_preset_check(preset, snrs, target_errors, max_bits, seed):
+    """The perfect-CSI curve of a CLI preset."""
+    return run_sweeps(SimConfig(
+        snr_db_points=tuple(snrs), target_errors=target_errors,
+        max_bits=max_bits, master_seed=seed, **PRESETS[preset],
+    ), [None])[0]
 
 
 def main(argv=None):
@@ -84,6 +103,28 @@ def main(argv=None):
                 acc += quantize_direction(h, cb).distortion
             row += f"  {acc / n:11.5f}"
         print(row)
+
+    est = SimConfig(**PRESETS["fig4-estimated"])
+    for title, preset, exact in (
+        ("fig3-mimo22 perfect CSI: 2x2 QPSK max-eigenmode bit error rate",
+         "fig3-mimo22", max_eigenmode_qpsk_ber),
+        (f"fig4-estimated perfect feedback: 2x1 BPSK on an LS estimate, "
+         f"{est.n_pilots} pilots at rho/{est.n_t}", "fig4-estimated",
+         lambda s: estimated_mrc_bpsk_ber(s, est.n_t, est.n_pilots)),
+    ):
+        print()
+        print(title)
+        print(f"{'snr_db':>7}  {'exact':>12}" +
+              (f"  {'sim perfect':>12}" if args.check else ""))
+        if args.check:
+            curve = run_preset_check(
+                preset, snrs, args.target_errors, args.max_bits, args.seed)
+        for i, s in enumerate(snrs):
+            row = f"{s:7.1f}  {exact(s):12.4e}"
+            if args.check:
+                p = curve.points[i]
+                row += f"  {p.ber:12.4e}{'' if p.converged else '*'}"
+            print(row)
     return 0
 
 

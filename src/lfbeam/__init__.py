@@ -10,7 +10,6 @@ from .numerics import (
 from .channel import (
     InvalidLengthError,
     ShapeMismatchError,
-    TrainingSequence,
     gen_rayleigh_flat,
     gen_selective_taps,
     ls_estimate,
@@ -29,7 +28,6 @@ from .codebook import (
     select_beamformer,
 )
 from .beamforming import (
-    PrecoderSet,
     SingularStackError,
     apply_power_constraint,
     zfbf_precoders,

@@ -2,15 +2,12 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .numerics import SingularMatrixError, mat_inverse
 
 __all__ = [
     "SingularStackError",
-    "PrecoderSet",
     "apply_power_constraint",
     "zfbf_precoders",
     "zfbf_sinr",
@@ -19,14 +16,6 @@ __all__ = [
 
 class SingularStackError(ValueError):
     """Stacked user directions are linearly dependent (or nearly so)."""
-
-
-@dataclass(frozen=True)
-class PrecoderSet:
-    """Per-user zero-forcing beams; ``vectors[j]`` is user j's column."""
-
-    vectors: np.ndarray
-    source_directions: np.ndarray
 
 
 def apply_power_constraint(beams: np.ndarray, total_power: float) -> np.ndarray:
@@ -46,8 +35,9 @@ def apply_power_constraint(beams: np.ndarray, total_power: float) -> np.ndarray:
     return beams * scale[:, None]
 
 
-def zfbf_precoders(directions: np.ndarray) -> PrecoderSet:
-    """Zero-forcing beams from stacked unit user directions.
+def zfbf_precoders(directions: np.ndarray) -> np.ndarray:
+    """Zero-forcing beams from stacked unit user directions, as an
+    (n_users, dim) array whose row ``j`` is user j's unit beam.
 
     ``directions`` is (n_users, dim) with row ``i`` the fed-back unit
     direction of user ``i`` and ``n_users == dim``.  Stacking the
@@ -66,17 +56,18 @@ def zfbf_precoders(directions: np.ndarray) -> PrecoderSet:
     except SingularMatrixError as e:
         raise SingularStackError(f"user directions are dependent: {e}") from e
     cols = inv / np.linalg.norm(inv, axis=0, keepdims=True)
-    return PrecoderSet(cols.T.copy(), d.copy())
+    return cols.T.copy()
 
 
 def zfbf_sinr(
     h: np.ndarray,
-    precoders: PrecoderSet,
+    beams: np.ndarray,
     user: int,
     total_power: float,
 ) -> float:
     """Post-precoding SINR of one user under uniform power split.
 
+    ``beams`` is the (n_users, dim) array of :func:`zfbf_precoders`.
     With ``n_users`` beams sharing ``total_power`` equally and unit
     noise power, user ``i`` with true channel ``h`` sees
 
@@ -85,7 +76,7 @@ def zfbf_sinr(
     Residual interference is zero only when the fed-back direction of
     user ``i`` matches the true channel direction exactly.
     """
-    v = precoders.vectors
+    v = np.asarray(beams)
     m = v.shape[0]
     if not 0 <= user < m:
         raise ValueError(f"user index {user} out of range for {m} users")

@@ -8,14 +8,11 @@ so each subcarrier of the DFT view is marginally CN(0, 1) per entry.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 __all__ = [
     "ShapeMismatchError",
     "InvalidLengthError",
-    "TrainingSequence",
     "gen_rayleigh_flat",
     "gen_selective_taps",
     "to_subcarriers",
@@ -30,18 +27,6 @@ class ShapeMismatchError(ValueError):
 
 class InvalidLengthError(ValueError):
     """A requested sequence length is out of range."""
-
-
-@dataclass(frozen=True)
-class TrainingSequence:
-    """Known pilot symbols, one row per transmit antenna.
-
-    ``symbols`` has shape (n_t, n_pilots) with unit-modulus entries and
-    mutually orthogonal rows: ``symbols @ symbols.conj().T`` equals
-    ``n_pilots * I``.
-    """
-
-    symbols: np.ndarray
 
 
 def _complex_normal(rng: np.random.Generator, shape, scale: float) -> np.ndarray:
@@ -92,8 +77,10 @@ def to_subcarriers(taps: np.ndarray, n_subcarriers: int) -> np.ndarray:
     return np.fft.fft(taps, n=n_subcarriers, axis=-3)
 
 
-def make_phase_shift_training(n_t: int, n_pilots: int) -> TrainingSequence:
-    """Build unit-modulus training with orthogonal rows.
+def make_phase_shift_training(n_t: int, n_pilots: int) -> np.ndarray:
+    """Known pilot symbols, an (n_t, n_pilots) array with one row per
+    transmit antenna, unit-modulus entries and orthogonal rows:
+    ``s @ s.conj().T`` equals ``n_pilots * I``.
 
     Antenna ``r`` transmits ``exp(2j*pi*r*c/n_pilots)`` at pilot slot
     ``c``.  Distinct rows are orthogonal whenever ``n_pilots >= n_t``,
@@ -105,25 +92,26 @@ def make_phase_shift_training(n_t: int, n_pilots: int) -> TrainingSequence:
         )
     r = np.arange(n_t)[:, None]
     c = np.arange(n_pilots)[None, :]
-    return TrainingSequence(np.exp(2j * np.pi * r * c / n_pilots))
+    return np.exp(2j * np.pi * r * c / n_pilots)
 
 
-def ls_estimate(received: np.ndarray, training: TrainingSequence) -> np.ndarray:
+def ls_estimate(received: np.ndarray, training: np.ndarray) -> np.ndarray:
     """Least-squares channel estimate from known training.
 
     With ``received = H @ S + noise`` and orthogonal unit-modulus
-    training ``S``, the LS estimate is ``received @ S^H / n_pilots``.
+    training ``S``, the (n_t, n_pilots) array that
+    :func:`make_phase_shift_training` returns, the LS estimate is
+    ``received @ S^H / n_pilots``.
     ``received`` has shape (..., n_r, n_pilots); leading batch axes are
     allowed and are flattened into the rows of one 2-D GEMM, so a stack
     of trials and subcarriers costs one BLAS call, not one per matrix.
     Returns (..., n_r, n_t).
     """
     y = np.asarray(received, dtype=np.complex128)
-    s = training.symbols
-    if y.ndim < 2 or y.shape[-1] != s.shape[1]:
-        raise ShapeMismatchError(
-            f"received shape {y.shape} does not match n_pilots={s.shape[1]}"
-        )
+    s = np.asarray(training)
+    if s.ndim != 2 or y.ndim < 2 or y.shape[-1] != s.shape[1]:
+        raise ShapeMismatchError(f"received shape {y.shape} does not "
+                                 f"match (n_t, n_pilots) training {s.shape}")
     n_t, n_pilots = s.shape
     w = s.conj().T / n_pilots
     return (y.reshape(-1, n_pilots) @ w).reshape(y.shape[:-1] + (n_t,))

@@ -465,7 +465,7 @@ def _receiver_links(
             rho_p = 10.0 ** (config.pilot_snr_db / 10.0)
         amp = np.sqrt(rho_p)
         # one GEMM over every trial and subcarrier
-        rx = (h.reshape(-1, config.n_t) @ training.symbols).reshape(pilot.shape)
+        rx = (h.reshape(-1, config.n_t) @ training).reshape(pilot.shape)
         hr = ls_estimate(amp * rx + pilot, training) / amp
     else:
         hr = h

@@ -2,9 +2,10 @@
 
 Everything here is implemented from first principles, separately from
 the package code: closed-form BER expressions for Rayleigh diversity
-reception, a brute-force circular-convolution channel model, a direct
-2x2 Hermitian eigensolver (self-checked via its residual), and order
-statistics of uniform variates.
+reception, for 2x2 max-eigenmode beamforming and for beamforming on an
+LS channel estimate, a brute-force circular-convolution channel model,
+a direct 2x2 Hermitian eigensolver (self-checked via its residual), and
+order statistics of uniform variates.
 """
 
 import numpy as np
@@ -25,6 +26,41 @@ def rayleigh_mrc_bpsk_ber(snr_db: float, branches: int) -> float:
     if branches == 2:
         return float(p * p * (1.0 + 2.0 * (1.0 - p)))
     raise ValueError(f"no closed form wired up for {branches} branches")
+
+
+def max_eigenmode_qpsk_ber(snr_db: float) -> float:
+    """Exact QPSK BER of 2x2 i.i.d. Rayleigh max-eigenmode beamforming
+    (perfect CSI, MRC), at symbol SNR ``rho = 10**(snr_db/10)``.
+
+    Each quadrature sees ``Q(sqrt(rho * lam))`` with ``lam`` the largest
+    eigenvalue of ``H^H H``, whose density is
+    ``e^-x (x^2 - 2x + 2) - 2 e^-2x``, so its moment generating function
+    is ``M(s) = 2/(1-s)^3 - 2/(1-s)^2 + 2/(1-s) - 2/(2-s)``.  Craig's
+    formula turns ``E Q(sqrt(rho * lam))`` into
+    ``(1/pi) * int_0^{pi/2} M(-rho / (2 sin^2 t)) dt``, a smooth integral
+    evaluated by Gauss-Legendre quadrature over ``t``.
+    """
+    x, w = np.polynomial.legendre.leggauss(400)
+    theta = np.pi / 4.0 * (x + 1.0)  # nodes on (0, pi/2)
+    a = 1.0 + 10.0 ** (snr_db / 10.0) / (2.0 * np.sin(theta) ** 2)  # 1 - s
+    mgf = 2.0 / a**3 - 2.0 / a**2 + 2.0 / a - 2.0 / (a + 1.0)
+    return float(w @ mgf / 4.0)  # 1/pi times the Jacobian pi/4
+
+
+def estimated_mrc_bpsk_ber(snr_db: float, n_t: int, n_pilots: int) -> float:
+    """Exact BPSK BER of 2x1 Rayleigh beamforming with perfect feedback
+    of the LS-estimated channel, pilots at ``rho / n_t`` per antenna.
+
+    The estimate is ``h + e`` with ``e ~ CN(0, s2 I)`` and
+    ``s2 = n_t / (n_pilots * rho)``.  Given the estimate, ``h`` is
+    ``CN(k * estimate, (1 - k) I)`` with ``k = 1 / (1 + s2)``; the beam
+    and the combiner come from the estimate, so the link is two-branch
+    MRC at the effective SNR ``rho k / (rho (1 - k) + 1)``.
+    """
+    rho = 10.0 ** (snr_db / 10.0)
+    k = 1.0 / (1.0 + n_t / (n_pilots * rho))
+    eff = rho * k / (rho * (1.0 - k) + 1.0)
+    return rayleigh_mrc_bpsk_ber(10.0 * np.log10(eff), 2)
 
 
 def top_eig_2x2_hermitian(g: np.ndarray) -> tuple[float, np.ndarray]:

@@ -28,11 +28,13 @@ from lfbeam.channel import (
     make_phase_shift_training,
     to_subcarriers,
 )
-from lfbeam.cli import main
+from lfbeam.cli import PRESETS, main
 from lfbeam.codebook import _best_codewords, gen_rvq, quantize_direction
 from lfbeam.simulator import SimConfig, run_sweep, snr_at_ber
 from oracles import (
     circular_convolve_mimo,
+    estimated_mrc_bpsk_ber,
+    max_eigenmode_qpsk_ber,
     min_uniform_mean,
     rayleigh_mrc_bpsk_ber,
 )
@@ -46,6 +48,11 @@ PINNED_RAY1 = {
     0.0: 1.464466e-01, 2.0: 1.084847e-01, 4.0: 7.713692e-02,
     6.0: 5.299888e-02, 8.0: 3.545907e-02, 10.0: 2.326871e-02,
 }
+# Exact perfect-CSI BER of fig3-mimo22 (2x2 QPSK, max eigenmode) and
+# fig4-estimated (2x1 BPSK on an LS estimate from 4 pilots at rho/n_t),
+# checked against scipy quadrature to 1e-13.  snr_db -> ber.
+PINNED_EIG22 = {0.0: 5.003148e-02, 8.0: 8.398494e-04, 16.0: 1.399602e-06}
+PINNED_EST = {0.0: 1.150998e-01, 6.0: 1.759513e-02, 12.0: 1.500942e-03}
 
 MISO = dict(n_t=2, n_r=1)  # the fig2-miso link geometry
 
@@ -201,14 +208,14 @@ def test_criterion_6_zfbf_invariants():
             for b in range(2):
                 if a != b:
                     worst_cross = max(
-                        worst_cross, abs(np.vdot(d[a], p.vectors[b]))
+                        worst_cross, abs(np.vdot(d[a], p[b]))
                     )
         # perfect-direction feedback: residual interference term of the
         # SINR formula collapses to numerical noise
         dp = h / np.linalg.norm(h, axis=1, keepdims=True)
         pp = zfbf_precoders(dp)
         for u in range(2):
-            other = abs(np.vdot(h[u], pp.vectors[1 - u])) ** 2
+            other = abs(np.vdot(h[u], pp[1 - u])) ** 2
             worst_interf = max(worst_interf, (total_power / 2.0) * other)
     assert skipped <= 2, skipped
     assert worst_cross <= 1e-9, worst_cross
@@ -225,12 +232,12 @@ def test_criterion_6_zfbf_invariants():
         share = np.sqrt(total_power / 2.0)
         n_sym = 200_000
         s = np.exp(2j * np.pi * rng.random((2, n_sym)))
-        tx = share * (p.vectors.T @ s)
+        tx = share * (p.T @ s)
         for u in range(2):
             noise = (rng.standard_normal(n_sym)
                      + 1j * rng.standard_normal(n_sym)) / np.sqrt(2)
             rx = h[u].conj() @ tx + noise
-            wanted = share * (h[u].conj() @ p.vectors[u]) * s[u]
+            wanted = share * (h[u].conj() @ p[u]) * s[u]
             measured = (np.abs(wanted) ** 2).mean() / \
                 (np.abs(rx - wanted) ** 2).mean()
             formula = zfbf_sinr(h[u], p, u, total_power)
@@ -266,7 +273,7 @@ def test_criterion_8_estimation_degrades_every_point():
     rng = np.random.default_rng(808)
     h = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
     s = make_phase_shift_training(2, 4)
-    assert np.abs(ls_estimate(h @ s.symbols, s) - h).max() <= 1e-10
+    assert np.abs(ls_estimate(h @ s, s) - h).max() <= 1e-10
     snrs = (0, 4, 8, 12, 16)
     lines = []
     for bits in (None, 4):
@@ -313,3 +320,29 @@ def test_criterion_9_determinism_across_worker_counts(tmp_path):
         assert files == baseline, f"{key} differs from single-worker run"
     print("[PASS] criterion 9: CSVs byte-identical for 1/4/16 workers "
           "and across reruns")
+
+
+def test_criterion_10_perfect_curves_match_exact_oracles():
+    """The perfect-CSI curves of fig3-mimo22 (0 and 4 dB) and
+    fig4-estimated (0 and 6 dB) reproduce their exact BER within 5%
+    relative at 10k errors."""
+    for s, ref in PINNED_EIG22.items():
+        assert abs(max_eigenmode_qpsk_ber(s) - ref) <= 1e-6 * ref
+    for s, ref in PINNED_EST.items():
+        assert abs(estimated_mrc_bpsk_ber(s, 2, 4) - ref) <= 1e-6 * ref
+    lines = []
+    for preset, snrs, oracle in (
+        ("fig3-mimo22", (0, 4), max_eigenmode_qpsk_ber),
+        ("fig4-estimated", (0, 6),
+         lambda s: estimated_mrc_bpsk_ber(s, 2, 4)),
+    ):
+        curve = _sweep(None, snrs, target=10_000, cap=40_000_000,
+                       **PRESETS[preset])
+        worst = 0.0
+        for p in curve.points:
+            ref = oracle(p.snr_db)
+            rel = abs(p.ber - ref) / ref
+            worst = max(worst, rel)
+            assert rel <= 0.05, (preset, p.snr_db, p.ber, ref, rel)
+        lines.append(f"{preset} max relative deviation {worst:.2%}")
+    print("[PASS] criterion 10: " + "; ".join(lines) + " (tolerance 5%)")

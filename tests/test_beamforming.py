@@ -130,7 +130,7 @@ def test_power_budget_always_met(total, n):
 
 def test_zfbf_orthonormal_directions_pass_through():
     p = zfbf_precoders(np.eye(2, dtype=complex))
-    assert np.allclose(np.abs(p.vectors), np.eye(2), atol=1e-12)
+    assert np.allclose(np.abs(p), np.eye(2), atol=1e-12)
 
 
 def test_zfbf_hand_case():
@@ -139,7 +139,7 @@ def test_zfbf_hand_case():
     d = np.array([[1.0, 0.0], [1.0 / np.sqrt(2), 1.0 / np.sqrt(2)]],
                  dtype=complex)
     p = zfbf_precoders(d)
-    v0, v1 = p.vectors
+    v0, v1 = p
     expect0 = np.array([1.0, -1.0]) / np.sqrt(2)
     assert abs(abs(np.vdot(expect0, v0)) - 1.0) <= 1e-12
     assert abs(abs(np.vdot(np.array([0.0, 1.0]), v1)) - 1.0) <= 1e-12
@@ -156,12 +156,12 @@ def test_zfbf_zero_forcing_invariant(rng):
         p = zfbf_precoders(d)
         for i in range(2):
             for j in range(2):
-                cross = abs(np.vdot(d[i], p.vectors[j]))
+                cross = abs(np.vdot(d[i], p[j]))
                 if i == j:
                     assert cross > 1e-6
                 else:
                     assert cross <= 1e-9
-        assert np.allclose(np.linalg.norm(p.vectors, axis=1), 1.0, atol=1e-12)
+        assert np.allclose(np.linalg.norm(p, axis=1), 1.0, atol=1e-12)
 
 
 def test_zfbf_dependent_directions_raise():
@@ -192,7 +192,7 @@ def test_sinr_perfect_directions_no_interference(rng):
         p = zfbf_precoders(d)
         for i in range(2):
             full = zfbf_sinr(h[i], p, i, 10.0)
-            sig = 5.0 * abs(np.vdot(h[i], p.vectors[i])) ** 2
+            sig = 5.0 * abs(np.vdot(h[i], p[i])) ** 2
             # denominator is 1 + interference with interference ~ 0
             assert abs(full - sig) <= 1e-9 * max(1.0, sig)
 
@@ -212,11 +212,11 @@ def test_sinr_matches_transmit_chain_measurement():
     share = np.sqrt(total_power / 2.0)
     n_sym = 200_000
     s = np.exp(2j * np.pi * rng.random((2, n_sym)))  # unit-power symbols
-    tx = share * (p.vectors.T @ s)  # (2 antennas, n_sym)
+    tx = share * (p.T @ s)  # (2 antennas, n_sym)
     noise = (rng.standard_normal(n_sym)
              + 1j * rng.standard_normal(n_sym)) / np.sqrt(2)
     rx = h[0].conj() @ tx + noise  # user 0 hears h^H x + n
-    wanted = share * (h[0].conj() @ p.vectors[0]) * s[0]
+    wanted = share * (h[0].conj() @ p[0]) * s[0]
     rest = rx - wanted  # other user's beam plus noise
     measured = (np.abs(wanted) ** 2).mean() / (np.abs(rest) ** 2).mean()
     formula = zfbf_sinr(h[0], p, 0, total_power)

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from lfbeam.channel import (
     InvalidLengthError,
     ShapeMismatchError,
-    TrainingSequence,
     gen_rayleigh_flat,
     gen_selective_taps,
     ls_estimate,
@@ -158,20 +157,20 @@ def test_stacked_taps_match_one_call_per_trial():
 
 def test_training_single_antenna():
     s = make_phase_shift_training(1, 2)
-    assert np.allclose(s.symbols, [[1.0, 1.0]], atol=1e-15)
+    assert np.allclose(s, [[1.0, 1.0]], atol=1e-15)
 
 
 def test_training_two_antennas_two_pilots():
     s = make_phase_shift_training(2, 2)
-    assert np.allclose(s.symbols[0], [1.0, 1.0], atol=1e-12)
-    assert np.allclose(s.symbols[1], [1.0, -1.0], atol=1e-12)
+    assert np.allclose(s[0], [1.0, 1.0], atol=1e-12)
+    assert np.allclose(s[1], [1.0, -1.0], atol=1e-12)
 
 
 def test_training_rows_orthogonal_unit_modulus():
     s = make_phase_shift_training(2, 8)
-    gram = s.symbols @ s.symbols.conj().T
+    gram = s @ s.conj().T
     assert np.allclose(gram, 8.0 * np.eye(2), atol=1e-12)
-    assert np.allclose(np.abs(s.symbols), 1.0, atol=1e-12)
+    assert np.allclose(np.abs(s), 1.0, atol=1e-12)
 
 
 def test_training_too_short_raises():
@@ -185,7 +184,7 @@ def test_training_too_short_raises():
 def test_ls_noiseless_recovery(rng):
     h = rng.standard_normal((2, 3)) + 1j * rng.standard_normal((2, 3))
     s = make_phase_shift_training(3, 4)
-    est = ls_estimate(h @ s.symbols, s)
+    est = ls_estimate(h @ s, s)
     assert np.allclose(est, h, atol=1e-10)
 
 
@@ -200,7 +199,7 @@ def test_ls_error_variance_matches_theory():
     for i in range(trials):
         h = (rng.standard_normal((1, 2)) + 1j * rng.standard_normal((1, 2))) / np.sqrt(2)
         w = (rng.standard_normal((1, n_p)) + 1j * rng.standard_normal((1, n_p))) * np.sqrt(noise_var / 2)
-        err[i] = ls_estimate(h @ s.symbols + w, s) - h
+        err[i] = ls_estimate(h @ s + w, s) - h
     mse = (np.abs(err) ** 2).mean()
     expected = noise_var / n_p
     assert abs(mse - expected) <= 0.10 * expected, (mse, expected)
@@ -210,15 +209,15 @@ def test_ls_global_phase_of_training_cancels():
     rng = np.random.default_rng(31)
     h = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
     s = make_phase_shift_training(2, 4)
-    rotated = TrainingSequence(np.exp(0.7j) * s.symbols)
-    est = ls_estimate(h @ rotated.symbols, rotated)
+    rotated = np.exp(0.7j) * s
+    est = ls_estimate(h @ rotated, rotated)
     assert np.allclose(est, h, atol=1e-10)
 
 
 def test_ls_batched_leading_axes(rng):
     h = rng.standard_normal((5, 3, 2, 2)) + 1j * rng.standard_normal((5, 3, 2, 2))
     s = make_phase_shift_training(2, 4)
-    est = ls_estimate(h @ s.symbols, s)
+    est = ls_estimate(h @ s, s)
     assert est.shape == (5, 3, 2, 2)
     assert np.allclose(est, h, atol=1e-10)
 
@@ -238,10 +237,17 @@ def test_ls_stack_matches_one_call_per_matrix(rng, n_r):
     h = rng.standard_normal((6, 8, n_r, 2)) + 1j * rng.standard_normal(
         (6, 8, n_r, 2)
     )
-    assert np.allclose(ls_estimate(h @ s.symbols, s), h, rtol=0, atol=1e-12)
+    assert np.allclose(ls_estimate(h @ s, s), h, rtol=0, atol=1e-12)
 
 
 def test_ls_shape_mismatch_raises():
     s = make_phase_shift_training(2, 4)
     with pytest.raises(ShapeMismatchError):
         ls_estimate(np.ones((2, 3), dtype=complex), s)
+
+
+@pytest.mark.parametrize("shape", [(4,), (1, 2, 4)])
+def test_ls_training_not_2d_raises(shape):
+    """Training must be one (n_t, n_pilots) array, not a row or a stack."""
+    with pytest.raises(ShapeMismatchError):
+        ls_estimate(np.ones((2, 4), dtype=complex), np.ones(shape, dtype=complex))
