@@ -13,14 +13,15 @@ and these stages are timed on the blocks of batches 1 to 4 (trials
 stage of every workload once, so each stage's best round comes from the
 fastest phase of the machine over the whole run:
 
-- ``draw``: ``_draw_batch`` (bits, taps, pilot and data noise, FFT);
+- ``draw``: ``_draw_batch`` (bits, taps, LS estimation error and data
+  noise, FFT);
 - ``search``: the ``_beam_directions`` calls of the receiver side, with
   the receiver's channel knowledge given (eigenvectors, the block's one
   codebook drawn or made, and its one prefix search);
 - ``links``: the rest of ``_receiver_links``, once per block or per SNR
   point when the pilot power follows the SNR, with the beams given (LS
-  estimate, combiners, each curve's effective gains ``g`` and combined
-  noise ``z``);
+  estimate as channel plus scaled error, combiners, each curve's
+  effective gains ``g`` and combined noise ``z``);
 - ``detect``: the rest of ``_run_block`` for all pairs, with the draws
   and the receiver side of the block given (``sqrt(rho) * g * x + z``,
   hard decisions and error counts);
@@ -87,7 +88,7 @@ PAIRS = 10  # subprocess pairs of --against
 POOL_WORKLOAD = "estimated-2w"
 
 
-def receiver_side(configs, active, batch, h, pilot, noise):
+def receiver_side(configs, active, batch, h, est_error, noise):
     """``_receiver_links`` as ``_run_block`` calls it, per SNR point."""
     config = configs[0]
     per_snr = config.csi_mode == "estimated" and config.pilot_snr_db is None
@@ -96,7 +97,7 @@ def receiver_side(configs, active, batch, h, pilot, noise):
         if not links or per_snr:
             running = np.flatnonzero(active.any(axis=1)).tolist()
             last = sim._receiver_links(
-                configs, running, snr_db, h, pilot, noise, batch
+                configs, running, snr_db, h, est_error, noise, batch
             )
         links[snr_db] = last
     return links
@@ -137,8 +138,8 @@ def stage_fns(wl):
         return sim._draw_batch(config, batch)
 
     def receiver(batch):
-        _, h, pilot, noise = draws[batch]
-        return receiver_side(configs, active, batch, h, pilot, noise)
+        _, h, est_error, noise = draws[batch]
+        return receiver_side(configs, active, batch, h, est_error, noise)
 
     def record(*args):
         beams = real_search(*args)
@@ -161,7 +162,7 @@ def stage_fns(wl):
         # _run_block with its draws and receiver side given
         sim._draw_batch = lambda cfg, batch: draws[batch]
         sim._receiver_links = (
-            lambda cfgs, running, snr_db, h, pilot, noise, batch:
+            lambda cfgs, running, snr_db, h, est_error, noise, batch:
             links[batch][snr_db]
         )
         try:

@@ -10,13 +10,17 @@ Four tables:
 * the exact perfect-CSI bit error rate of the fig3-mimo22 preset (2x2
   QPSK on the dominant eigenmode), and
 * the exact perfect-feedback bit error rate of the fig4-estimated
-  preset (2x1 BPSK beamformed and combined on an LS channel estimate).
+  preset (2x1 BPSK beamformed and combined on an LS channel estimate),
+
+followed by the exact bit error rate of each preset's link with the
+best of 2^B random codewords, B = 1, 2, 4 and 8.
 
 With --check, a short Monte Carlo run is placed next to each closed
 form: perfect-CSI beamforming on a 2x1 link lands on the two-branch
 curve, a single random beam (B=0) lands on the one-branch curve, an
-empirical distortion mean lands on the 1/(2^B+1) law, and the perfect
-curves of fig3-mimo22 and fig4-estimated land on their exact values.
+empirical distortion mean lands on the 1/(2^B+1) law, the perfect
+curves of fig3-mimo22 and fig4-estimated land on their exact values,
+and so do the B-bit curves of each preset, from one sweep per preset.
 """
 
 import argparse
@@ -35,7 +39,10 @@ from oracles import (
     max_eigenmode_qpsk_ber,
     min_uniform_mean,
     rayleigh_mrc_bpsk_ber,
+    rvq_ber,
 )
+
+RVQ_BITS = (1, 2, 4, 8)
 
 
 def run_check(snrs, target_errors, max_bits, seed):
@@ -46,12 +53,14 @@ def run_check(snrs, target_errors, max_bits, seed):
     ), [None, 0])
 
 
-def run_preset_check(preset, snrs, target_errors, max_bits, seed):
-    """The perfect-CSI curve of a CLI preset."""
+def run_preset_check(preset, snrs, target_errors, max_bits, seed,
+                     curves=(None,)):
+    """Curves of a CLI preset from one sweep, the perfect-CSI one by
+    default."""
     return run_sweeps(SimConfig(
         snr_db_points=tuple(snrs), target_errors=target_errors,
         max_bits=max_bits, master_seed=seed, **PRESETS[preset],
-    ), [None])[0]
+    ), list(curves))
 
 
 def main(argv=None):
@@ -117,13 +126,34 @@ def main(argv=None):
         print(f"{'snr_db':>7}  {'exact':>12}" +
               (f"  {'sim perfect':>12}" if args.check else ""))
         if args.check:
-            curve = run_preset_check(
+            curve, = run_preset_check(
                 preset, snrs, args.target_errors, args.max_bits, args.seed)
         for i, s in enumerate(snrs):
             row = f"{s:7.1f}  {exact(s):12.4e}"
             if args.check:
                 p = curve.points[i]
                 row += f"  {p.ber:12.4e}{'' if p.converged else '*'}"
+            print(row)
+
+    for preset, link in (("fig2-miso", "miso"), ("fig3-mimo22", "mimo22"),
+                         ("fig4-estimated", "estimated")):
+        print()
+        print(f"{preset} with B feedback bits: exact bit error rate"
+              + (" / simulated" if args.check else ""))
+        width = 25 if args.check else 12
+        print(f"{'snr_db':>7}" + "".join(
+            f"  {f'B={b}':>{width}}" for b in RVQ_BITS))
+        if args.check:
+            curves = run_preset_check(preset, snrs, args.target_errors,
+                                      args.max_bits, args.seed, RVQ_BITS)
+        for i, s in enumerate(snrs):
+            row = f"{s:7.1f}"
+            for j, b in enumerate(RVQ_BITS):
+                cell = f"{rvq_ber(link, s, b):.4e}"
+                if args.check:
+                    p = curves[j].points[i]
+                    cell += f" / {p.ber:.4e}{'' if p.converged else '*'}"
+                row += f"  {cell:>{width}}"
             print(row)
     return 0
 

@@ -101,7 +101,9 @@ def ls_estimate(received: np.ndarray, training: np.ndarray) -> np.ndarray:
     With ``received = H @ S + noise`` and orthogonal unit-modulus
     training ``S``, the (n_t, n_pilots) array that
     :func:`make_phase_shift_training` returns, the LS estimate is
-    ``received @ S^H / n_pilots``.
+    ``received @ S^H / n_pilots``.  For pilots at amplitude ``sqrt(rho_p)``
+    in unit i.i.d. noise, scaled back by it, the error entries are i.i.d.
+    CN(0, 1/(n_pilots * rho_p)) as ``S S^H = n_pilots * I``.
     ``received`` has shape (..., n_r, n_pilots); leading batch axes are
     allowed and are flattened into the rows of one 2-D GEMM, so a stack
     of trials and subcarriers costs one BLAS call, not one per matrix.

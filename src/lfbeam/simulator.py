@@ -21,29 +21,28 @@ power follows the SNR.
 Reproducibility: trials come in fixed batches of 256, and batch ``b``
 (trials ``256*b`` to ``256*b + 255``) draws from one stream,
 ``SeedSequence([master_seed, b])``, one call per array in a fixed order:
-data bits, taps, pilot noise when CSI is estimated and data noise, 256
-rows each.  A trial's draws are its row of each array, the same on every
-curve of one link.  The quantized curves of a sweep share one codebook
-per trial, made once per block for the largest B among them, and the
-B-bit curve searches its first 2**B codewords.  One routine,
-``codebook._draw_codewords``, draws every codebook codeword-major: the
-fresh ones of a batch's 256 trials from a second stream of the batch,
-``SeedSequence([master_seed, b, 1])``, codeword 0 of every trial first,
-and a fixed one, shared by every trial, as its one-group case, the
-seeded :func:`gen_rvq` codebook.  Smaller codebooks are prefixes either
-way.  One loop over whole batches serves every SNR point and curve: each
-batch is drawn once and scored for every (curve, SNR) pair still
-running, and each pair stops on its own rule.  A block is one batch and
-depends on the curves' configs, the running pairs and the batch index
-alone.  Draws depend on neither the pair nor the worker count, so sweeps
-share common random numbers across SNR points and curves, and results
-are bit-identical for any worker count.
+data bits, taps, the unit LS estimation error when CSI is estimated and
+data noise, 256 rows each.  A trial's draws are its row of each array,
+the same on every curve of one link.  The quantized curves of a sweep
+share one codebook per trial, made once per block for the largest B
+among them, and the B-bit curve searches its first 2**B codewords.  One
+routine, ``codebook._draw_codewords``, draws every codebook
+codeword-major: the fresh ones of a batch's 256 trials from a second
+stream of the batch, ``SeedSequence([master_seed, b, 1])``, codeword 0
+of every trial first, and a fixed one, shared by every trial, as its
+one-group case, the seeded :func:`gen_rvq` codebook.  Smaller codebooks
+are prefixes either way.  One loop over whole batches serves every SNR
+point and curve: each batch is drawn once and scored for every (curve,
+SNR) pair still running, and each pair stops on its own rule.  A block
+is one batch and depends on the curves' configs, the running pairs and
+the batch index alone.  Draws depend on neither the pair nor the worker
+count, so sweeps share common random numbers across SNR points and
+curves, and results are bit-identical for any worker count.
 """
 
 from __future__ import annotations
 
 import collections
-import concurrent.futures
 import numbers
 import os
 from dataclasses import asdict, dataclass, replace
@@ -51,9 +50,8 @@ from typing import Callable
 
 import numpy as np
 
-from .channel import (
-    _complex_normal, ls_estimate, make_phase_shift_training, to_subcarriers,
-)
+from .channel import _complex_normal, to_subcarriers
+from .channel import ls_estimate  # noqa: F401 (perfbench traces it here)
 from .codebook import MAX_BITS, _best_codewords, _draw_codewords
 from .codebook import gen_rvq  # noqa: F401 (perfbench traces it here)
 from .numerics import _sum_rows, dominant_right_eigvec_batch
@@ -118,11 +116,12 @@ class SimConfig:
 
     ``csi_mode`` is "perfect" (receiver knows each subcarrier channel
     exactly) or "estimated" (receiver least-squares-estimates it from
-    ``n_pilots`` phase-shift training symbols and uses the estimate for
+    ``n_pilots`` orthogonal training symbols and uses the estimate for
     beam selection, combining, and feedback).  Pilot symbols carry
-    power ``10**(pilot_snr_db/10)`` per antenna, defaulting to an equal
-    split of the data power ``rho / n_t`` when ``pilot_snr_db`` is
-    None.
+    power ``rho_p = 10**(pilot_snr_db/10)`` per antenna, defaulting to
+    an equal split of the data power ``rho / n_t`` when ``pilot_snr_db``
+    is None.  ``n_pilots`` sets only the variance of the estimate's error,
+    i.i.d. CN(0, 1/(n_pilots * rho_p)), which the simulator draws.
     """
 
     n_t: int = 2
@@ -368,9 +367,10 @@ def _codebook_seed(config: SimConfig) -> int:
 
 def _draw_batch(config: SimConfig, batch: int):
     """Bits, subcarrier channel ``h`` (:func:`to_subcarriers` of the
-    taps), pilot noise (None under perfect CSI) and data noise of the
-    trials of batch ``batch``, drawn from its one stream in the order
-    bits, taps, pilot noise, data noise, one call per array."""
+    taps), unit LS estimation error ``e`` (None under perfect CSI; the
+    error's law is i.i.d. CN(0, 1), see :func:`ls_estimate`) and data
+    noise of the trials of batch ``batch``, drawn from its one stream in
+    the order bits, taps, ``e``, data noise, one call per array."""
     rng = np.random.default_rng(
         np.random.SeedSequence([int(config.master_seed), batch])
     )
@@ -382,13 +382,11 @@ def _draw_batch(config: SimConfig, batch: int):
         rng, (t, config.n_taps, config.n_r, config.n_t),
         np.sqrt(0.5 / config.n_taps),
     )
-    pilot = (
-        _complex_normal(rng, (t, n, config.n_r, config.n_pilots), np.sqrt(0.5))
-        if config.csi_mode == "estimated"
-        else None
-    )
+    e = None
+    if config.csi_mode == "estimated":
+        e = _complex_normal(rng, (t, n, config.n_r, config.n_t), np.sqrt(0.5))
     noise = _complex_normal(rng, (t, n, config.n_r), np.sqrt(0.5))
-    return bits, to_subcarriers(taps, n), pilot, noise
+    return bits, to_subcarriers(taps, n), e, noise
 
 
 def _beam_directions(
@@ -439,34 +437,32 @@ def _receiver_links(
     running: list[int],
     snr_db: float,
     h: np.ndarray,
-    pilot: np.ndarray | None,
+    e: np.ndarray | None,
     noise: np.ndarray,
     batch: int,
 ):
     """The links of the curves in ``running`` at one SNR point.
 
     Returns ``(hr, links)``: the receiver's channel knowledge (the LS
-    estimate under estimated CSI, else ``h``), shared by every curve,
-    and for each running curve ``c`` the tuple ``links[c] = (beams, g,
-    z, ok)``: the unit beam directions selected from ``hr``, the
-    effective gains ``a^H h b`` of the true channel ``h`` and the
-    combined data noise ``a^H noise`` under the unit MRC combiners ``a``
-    built from ``hr``, and the mask of subcarriers whose effective
-    channel ``hr_k b_k`` is nonzero (``g`` and ``z`` are 0 elsewhere).
+    estimate ``h + e / sqrt(n_pilots * rho_p)`` at pilot power ``rho_p``
+    under estimated CSI, else ``h``), shared by every curve, and for each
+    running curve ``c`` the tuple ``links[c] = (beams, g, z, ok)``: the
+    unit beam directions selected from ``hr``, the effective gains
+    ``a^H h b`` of the true channel ``h`` and the combined data noise
+    ``a^H noise`` under the unit MRC combiners ``a`` built from ``hr``,
+    and the mask of subcarriers whose effective channel ``hr_k b_k`` is
+    nonzero (``g`` and ``z`` are 0 elsewhere).
     Under perfect CSI ``a`` is ``conj(h b) / ||h b||``, so ``g`` is the
     norm ``||h b||`` that scales the combiner, a real gain.
     """
     config = configs[0]
     if config.csi_mode == "estimated":
-        training = make_phase_shift_training(config.n_t, config.n_pilots)
         if config.pilot_snr_db is None:
             rho_p = 10.0 ** (snr_db / 10.0) / config.n_t
         else:
             rho_p = 10.0 ** (config.pilot_snr_db / 10.0)
-        amp = np.sqrt(rho_p)
-        # one GEMM over every trial and subcarrier
-        rx = (h.reshape(-1, config.n_t) @ training).reshape(pilot.shape)
-        hr = ls_estimate(amp * rx + pilot, training) / amp
+        hr = e * (1.0 / np.sqrt(config.n_pilots * rho_p))
+        hr += h
     else:
         hr = h
     beams = _beam_directions(configs, running, hr, batch)
@@ -513,7 +509,7 @@ def _run_block(
     config = configs[0]
     n = config.n_subcarriers
     bps = config.bits_per_symbol
-    bits, h, pilot, noise = _draw_batch(config, batch)
+    bits, h, e, noise = _draw_batch(config, batch)
     x = modulate(bits.reshape(-1), config.modulation).reshape(-1, n)
     # bit b of symbol k, as the sign of part b of its float64 view reads it
     sent = bits.view(bool).reshape(-1, n, bps)
@@ -528,7 +524,7 @@ def _run_block(
                 active[:, s] if per_snr else active.any(axis=1)
             ).tolist()
             _, links = _receiver_links(
-                configs, running, snr_db, h, pilot, noise, batch
+                configs, running, snr_db, h, e, noise, batch
             )
         amp = np.sqrt(10.0 ** (snr_db / 10.0))
         for c in np.flatnonzero(active[:, s]).tolist():
@@ -561,8 +557,8 @@ def trial_effective_gains(
     """
     config.validate()
     batch, row = divmod(trial_index, TRIALS_PER_BATCH)
-    _, h, pilot, noise = _draw_batch(config, batch)
-    hr, links = _receiver_links([config], [0], snr_db, h, pilot, noise, batch)
+    _, h, e, noise = _draw_batch(config, batch)
+    hr, links = _receiver_links([config], [0], snr_db, h, e, noise, batch)
     beams, gains, _, ok = links[0]
     return {"gains": gains[row], "ok": ok[row], "channel": h[row],
             "rx_channel": hr[row], "beams": beams[row]}
@@ -609,10 +605,10 @@ def run_sweeps(
     points: dict[tuple[int, int], BerPoint] = {}
     cap = -(-config.max_bits // (TRIALS_PER_BATCH * config.n_subcarriers
                                  * config.bits_per_symbol))  # in batches
-    pool = (
-        concurrent.futures.ProcessPoolExecutor(n_workers)
-        if n_workers > 1 else None
-    )
+    pool = None
+    if n_workers > 1:  # imported here: one worker needs neither it nor logging
+        import concurrent.futures
+        pool = concurrent.futures.ProcessPoolExecutor(n_workers)
     window = 2 * n_workers if pool is not None else 1
 
     def submit(task):

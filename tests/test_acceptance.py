@@ -28,15 +28,16 @@ from lfbeam.channel import (
     make_phase_shift_training,
     to_subcarriers,
 )
-from lfbeam.cli import PRESETS, main
+from lfbeam.cli import main, parse_config
 from lfbeam.codebook import _best_codewords, gen_rvq, quantize_direction
-from lfbeam.simulator import SimConfig, run_sweep, snr_at_ber
+from lfbeam.simulator import SimConfig, run_sweep, run_sweeps, snr_at_ber
 from oracles import (
     circular_convolve_mimo,
     estimated_mrc_bpsk_ber,
     max_eigenmode_qpsk_ber,
     min_uniform_mean,
     rayleigh_mrc_bpsk_ber,
+    rvq_ber,
 )
 
 # Closed-form BER pinned before the simulator existed.  snr_db -> ber.
@@ -53,6 +54,18 @@ PINNED_RAY1 = {
 # checked against scipy quadrature to 1e-13.  snr_db -> ber.
 PINNED_EIG22 = {0.0: 5.003148e-02, 8.0: 8.398494e-04, 16.0: 1.399602e-06}
 PINNED_EST = {0.0: 1.150998e-01, 6.0: 1.759513e-02, 12.0: 1.500942e-03}
+# Exact BER of the best of 2**B random codewords (B = 1, 2, 4, 8) on the
+# three preset links, from an independent quadrature prototype.
+# (link, snr_db) -> ber per B.
+PINNED_RVQ = {
+    ("miso", 0.0): (1.0037e-01, 7.7444e-02, 6.2394e-02, 5.8318e-02),
+    ("miso", 6.0): (2.2767e-02, 1.3191e-02, 9.0588e-03, 8.1820e-03),
+    ("mimo22", 0.0): (8.3943e-02, 6.6410e-02, 5.3831e-02, 5.0261e-02),
+    ("mimo22", 4.0): (2.4088e-02, 1.5307e-02, 1.0575e-02, 9.4859e-03),
+    ("mimo22", 8.0): (3.9790e-03, 1.7467e-03, 9.8166e-04, 8.4762e-04),
+    ("estimated", 0.0): (1.6604e-01, 1.4045e-01, 1.2123e-01, 1.1548e-01),
+    ("estimated", 6.0): (4.1124e-02, 2.6731e-02, 1.9395e-02, 1.7699e-02),
+}
 
 MISO = dict(n_t=2, n_r=1)  # the fig2-miso link geometry
 
@@ -323,26 +336,41 @@ def test_criterion_9_determinism_across_worker_counts(tmp_path):
 
 
 def test_criterion_10_perfect_curves_match_exact_oracles():
-    """The perfect-CSI curves of fig3-mimo22 (0 and 4 dB) and
-    fig4-estimated (0 and 6 dB) reproduce their exact BER within 5%
-    relative at 10k errors."""
+    """Every default curve of each preset reproduces its exact BER within
+    5% relative at 10k errors, at two SNR points, in one sweep per
+    preset: fig2-miso (perfect, B = 1, 2, 4, 8 at 0 and 6 dB),
+    fig3-mimo22 (the same curves at 0 and 4 dB) and fig4-estimated
+    (perfect and B = 4 at 0 and 6 dB)."""
     for s, ref in PINNED_EIG22.items():
         assert abs(max_eigenmode_qpsk_ber(s) - ref) <= 1e-6 * ref
+        assert abs(rvq_ber("mimo22", s, None) - ref) <= 1e-6 * ref
     for s, ref in PINNED_EST.items():
         assert abs(estimated_mrc_bpsk_ber(s, 2, 4) - ref) <= 1e-6 * ref
+        assert abs(rvq_ber("estimated", s, None) - ref) <= 1e-6 * ref
+    for s, ref in PINNED_MRC2.items():
+        assert abs(rvq_ber("miso", s, None) - ref) <= 1e-6 * ref
+    for (link, s), refs in PINNED_RVQ.items():
+        for b, ref in zip((1, 2, 4, 8), refs):
+            # the oracle rounds to the pinned literal
+            assert f"{rvq_ber(link, s, b):.4e}" == f"{ref:.4e}", (link, s, b)
     lines = []
-    for preset, snrs, oracle in (
-        ("fig3-mimo22", (0, 4), max_eigenmode_qpsk_ber),
-        ("fig4-estimated", (0, 6),
-         lambda s: estimated_mrc_bpsk_ber(s, 2, 4)),
+    for preset, link, snrs in (
+        ("fig2-miso", "miso", (0.0, 6.0)),
+        ("fig3-mimo22", "mimo22", (0.0, 4.0)),
+        ("fig4-estimated", "estimated", (0.0, 6.0)),
     ):
-        curve = _sweep(None, snrs, target=10_000, cap=40_000_000,
-                       **PRESETS[preset])
+        config, curves = parse_config(preset=preset, overrides={
+            "snr_db_points": snrs, "target_errors": 10_000,
+            "max_bits": 40_000_000,
+        })
         worst = 0.0
-        for p in curve.points:
-            ref = oracle(p.snr_db)
-            rel = abs(p.ber - ref) / ref
-            worst = max(worst, rel)
-            assert rel <= 0.05, (preset, p.snr_db, p.ber, ref, rel)
-        lines.append(f"{preset} max relative deviation {worst:.2%}")
+        for bits, curve in zip(curves, run_sweeps(config, curves)):
+            for p in curve.points:
+                ref = rvq_ber(link, p.snr_db, bits)
+                rel = abs(p.ber - ref) / ref
+                worst = max(worst, rel)
+                assert rel <= 0.05, (preset, curve.label, p.snr_db, p.ber,
+                                     ref, rel)
+        lines.append(f"{preset} ({len(curves)} curves) max relative "
+                     f"deviation {worst:.2%}")
     print("[PASS] criterion 10: " + "; ".join(lines) + " (tolerance 5%)")

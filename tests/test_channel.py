@@ -205,6 +205,27 @@ def test_ls_error_variance_matches_theory():
     assert abs(mse - expected) <= 0.10 * expected, (mse, expected)
 
 
+@pytest.mark.parametrize("n_t, n_pilots, n_r",
+                         [(2, 2, 1), (2, 4, 1), (2, 4, 2), (4, 7, 3)])
+def test_ls_error_is_the_projected_pilot_noise(rng, n_t, n_pilots, n_r):
+    """The LS error at pilot amplitude ``amp`` is exactly
+    ``N @ S^H / (n_pilots * amp)``, whose rows have covariance
+    ``S S^H / n_pilots**2 = I / n_pilots`` per unit noise variance: i.i.d.
+    CN(0, 1/(n_pilots * amp**2)) entries, the law the simulator draws
+    the error from."""
+    s = make_phase_shift_training(n_t, n_pilots)
+    amp = np.sqrt(10.0 ** 0.3)
+    h = rng.standard_normal((16, 8, n_r, n_t)) + 1j * rng.standard_normal(
+        (16, 8, n_r, n_t))
+    noise = rng.standard_normal((16, 8, n_r, n_pilots)) + 1j * \
+        rng.standard_normal((16, 8, n_r, n_pilots))
+    err = ls_estimate(amp * (h @ s) + noise, s) / amp - h
+    projected = noise @ s.conj().T / (n_pilots * amp)
+    assert np.abs(err - projected).max() <= 1e-12
+    cov = s @ s.conj().T / n_pilots**2
+    assert np.abs(cov - np.eye(n_t) / n_pilots).max() <= 1e-12
+
+
 def test_ls_global_phase_of_training_cancels():
     rng = np.random.default_rng(31)
     h = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
