@@ -6,9 +6,12 @@ Run from the root of a checkout of the repository:
     python3 scripts/bench_blocks.py --out BENCH.json
     python3 scripts/bench_blocks.py --against HEAD~1 --out AB.json
 
-For each workload of ``perfbench/workloads.py`` the sweep's curves are
-built as the command line builds them, every (curve, SNR) pair running,
-and these stages are timed on the blocks of batches 1 to 4 (trials
+For each workload of ``perfbench/workloads.py``, and for ``miso-dim4``
+defined here (fig2-miso at n_t = 4 with fresh perfect, B = 2, 4 and 8
+curves at miso-sweep's SNR points: the dim-4 search's cost, on record
+next to the dim-2 one), the sweep's curves are built as the command
+line builds them, every (curve, SNR) pair running, and these stages
+are timed on the blocks of batches 1 to 4 (trials
 256 to 1279) at master seed 1, best of 12 rounds; a round times every
 stage of every workload once, so each stage's best round comes from the
 fastest phase of the machine over the whole run:
@@ -86,6 +89,8 @@ REPEATS = 12  # rounds; each stage's best round is kept
 SWEEPS = 3  # runs of the pool sweep at each worker count; the best is kept
 PAIRS = 10  # subprocess pairs of --against
 POOL_WORKLOAD = "estimated-2w"
+DIM4 = ("miso-dim4", "fig2-miso", (None, 2, 4, 8), (0, 4, 8, 12), 1,
+        (("n_t", 4),))  # a Workload's fields; timed as blocks only
 
 
 def receiver_side(configs, active, batch, h, est_error, noise):
@@ -113,13 +118,15 @@ def src_lines(root=ROOT):
 
 def load(src):
     """Import the library from ``src`` and this checkout's benchmark
-    helpers, which import it too."""
-    global sim, parse_config, environment, WORKLOADS
+    helpers, which import it too; ``BLOCKS`` is the benchmark's
+    workloads and ``DIM4``."""
+    global sim, parse_config, environment, WORKLOADS, BLOCKS
     sys.path[:0] = [src, os.path.join(ROOT, "perfbench")]
     import lfbeam.simulator as sim
     from lfbeam.cli import parse_config
     from measure import environment
-    from workloads import WORKLOADS
+    from workloads import WORKLOADS, Workload
+    BLOCKS = {**WORKLOADS, DIM4[0]: Workload(*DIM4)}
 
 
 def stage_fns(wl):
@@ -191,7 +198,7 @@ def bench():
     mean time per block.  A round times every stage of every workload
     once, so each stage's rounds are spread over the whole run and its
     best round is taken from the machine's fastest phase in that time."""
-    prepared = {name: stage_fns(wl) for name, wl in WORKLOADS.items()}
+    prepared = {name: stage_fns(wl) for name, wl in BLOCKS.items()}
     out = {name: {"pairs": pairs} for name, (pairs, _) in prepared.items()}
     faults = dict.fromkeys(prepared, 0)
     for name, (_, stages) in prepared.items():

@@ -224,14 +224,14 @@ def _best_codewords(
 
     Gains are one real GEMM in lifted form, the channel's features
     ``sum_r _lift(conj(H_r))`` times each chunk's ``_lift(w)``, lifted
-    once, so the cost does not grow with n_r.  Each run of codewords
-    between prefix ends is scored in tiles of whole groups within
+    once, so the cost does not grow with n_r.  A chunk's lifted
+    codewords are read as a (t, m*m, w) stack, a shared group broadcast
+    to every group, and each run of codewords between prefix ends is
+    scored by one stacked product in tiles of whole groups within
     ``_GAIN_BUDGET`` gains, a group's tile the same product whatever the
-    stack or block size (one 2-D product for a shared codebook), and
-    merged into the best so far; the first maximizer wins, so ties break
-    to the lowest index.  A chunk is dropped once scored, so the
-    winners' vectors at every prefix end are gathered from it in one
-    ``take``.
+    stack or block size.  The tiles merge into a running best index,
+    gain and vector, which every prefix end reads; the first maximizer
+    wins, so ties break to the lowest index.
     """
     t, n, n_r, dim = h.shape
     feats = _lift(h[:, :, 0].conj())
@@ -242,35 +242,30 @@ def _best_codewords(
     # the off-diagonal doubling goes on the channel side: scaling by 2
     # is exact, and the codewords outnumber the channels
     feats[:, :, dim:] *= 2.0
-    flat = feats.reshape(t * n, -1)
     ends = sorted(set(sizes))
-    group = np.repeat(np.arange(t), n)
     idx = np.empty(t * n, np.intp)
     gain = np.empty(t * n)
     vec, found, lo = None, {}, 0
     for chunk in chunks:
-        lifted = _lift(chunk)
-        # one group of codewords is every group's
-        shared = chunk.shape[1] == 1
-        hi = lo + chunk.shape[0]
+        size, g = chunk.shape[:2]
+        # every group's (m*m, size) columns, read in place, and each
+        # channel's group: its row among the chunk's first codewords
+        lifted = np.broadcast_to(_lift(chunk).transpose(1, 2, 0),
+                                 (t, dim * dim, size))
+        group = np.repeat(np.arange(g), t * n // g)
+        hi = lo + size
         cuts = sorted({lo, hi}.union(e for e in ends if lo < e < hi))
-        snaps = []
         for a, b in zip(cuts, cuts[1:]):
             width = max(1, min(b - a, _GAIN_BUDGET // n))
             stack = max(1, _GAIN_BUDGET // (n * width))
             for c in range(a, b, width):
                 w = min(c + width, b) - c
-                # a group's (m*m, w) columns, read in place
-                cols = lifted[c - lo : c - lo + w]
-                cols = cols[:, 0].T if shared else cols.transpose(1, 2, 0)
+                cols = lifted[:, :, c - lo : c - lo + w]
                 # where each row of a tile starts in its flat gains
                 starts = np.arange(0, min(stack, t) * n * w, w)
                 for r in range(0, t, stack):
                     rows = slice(r * n, (r + stack) * n)
-                    if shared:
-                        tile = flat[rows] @ cols
-                    else:
-                        tile = feats[r : r + stack] @ cols[r : r + stack]
+                    tile = feats[r : r + stack] @ cols[r : r + stack]
                     tile = tile.reshape(-1, w)
                     best = tile.argmax(axis=1)
                     score = tile.take(best + starts[: len(best)])
@@ -281,21 +276,16 @@ def _best_codewords(
                         better = score > gain[rows]
                         np.copyto(idx[rows], best + c, where=better)
                         np.copyto(gain[rows], score, where=better)
-            snaps.append((b, idx.copy(), gain.copy()))
-        # the winners' vectors at every cut, gathered from this chunk in
-        # one take; winners from earlier chunks keep theirs
-        at = np.stack([i for _, i, _ in snaps]) - lo
-        at_row = np.maximum(at, 0) * chunk.shape[1]
-        if not shared:
-            at_row += group
-        won = chunk.reshape(-1, dim).take(at_row, axis=0)
-        if lo:
-            np.copyto(won, vec, where=(at < 0)[..., None])
-        for (b, i, score), v in zip(snaps, won):
+            # winners from this chunk take their vectors from it, once
+            # scored: the chunk is dropped before the next one is drawn
+            at = idx - lo
+            won = chunk.reshape(-1, dim).take(at.clip(0) * g + group, axis=0)
+            if lo:  # winners from earlier chunks keep theirs
+                np.copyto(won, vec, where=(at < 0)[:, None])
+            vec = won
             if b in ends:
-                found[b] = i, score, v
-        vec, lo = won[-1], hi
-        # dropped before the source draws the next chunk
+                found[b] = idx.copy(), gain.copy(), vec
+        lo = hi
         chunk = lifted = cols = None
     return tuple(np.stack(x).reshape((-1, t, n) + x[0].shape[1:])
                  for x in zip(*(found[e] for e in sizes)))

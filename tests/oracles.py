@@ -128,32 +128,38 @@ def min_uniform_var(k: int) -> float:
     return second - m * m
 
 
-def rvq_ber(link: str, snr_db: float, bits: int | None) -> float:
-    """Exact BER of a beamformed n_t = 2 link whose transmit direction is
-    the best of ``2**bits`` isotropic random codewords (``bits=None``:
-    the exact dominant direction), with MRC at the receiver.
+def rvq_ber(link: str, snr_db: float, bits: int | None, n_t: int = 2) -> float:
+    """Exact BER of a beamformed link whose transmit direction is the best
+    of ``2**bits`` isotropic random codewords (``bits=None``: the exact
+    dominant direction), with MRC at the receiver.
 
-    ``link`` is "miso" (2x1 BPSK), "mimo22" (2x2 QPSK) or "estimated"
-    (2x1 BPSK whose beam and combiner come from an LS estimate, 4 pilots
-    at ``rho / 2`` per antenna).  With ``l1 >= l2`` the eigenvalues of
-    ``H^H H`` and ``v1`` the top eigenvector, a unit ``w`` gives
+    ``link`` is "miso" (n_t x 1 BPSK), "mimo22" (2x2 QPSK, ``n_t = 2``
+    only) or "estimated" (n_t x 1 BPSK whose beam and combiner come from
+    an LS estimate, 4 pilots at ``rho / n_t`` per antenna).  On n_t x 1
+    a unit ``w`` gives ``|h^H w|^2 = ||h||^2 U`` with ``||h||^2 ~
+    Gamma(n_t, 1)`` and the alignment ``U`` independent of ``h``:
+    Beta(1, n_t - 1) for an isotropic ``w``, and for the best of ``N``
+    codewords the law with CDF ``G(u)^N``, ``G(u) = 1 - (1 - u)^(n_t -
+    1)`` (Au-Yeung & Love, IEEE Trans. Wireless Commun. 2007); perfect
+    feedback has ``U = 1``.  Given ``U`` the link gain ``X`` has the
+    moment generating function ``(1 - U s)^-n_t``.  On 2x2, with ``l1
+    >= l2`` the eigenvalues of ``H^H H`` and ``v1`` the top eigenvector,
     ``||H w||^2 = l2 + (l1 - l2) U`` with ``U = |v1^H w|^2``, uniform on
-    (0, 1) for an isotropic ``w`` and independent of ``H``; the best of
-    ``N`` codewords has ``U ~ Beta(N, 1)``, and perfect feedback has
-    ``U = 1``.  Given ``U`` the link gain ``X`` has the moment
-    generating function ``(1 - U s)^-2`` on 2x1 (``l2 = 0``, ``l1 ~
-    Gamma(2, 1)``) and ``2 / (2 - s) * (1 - U s)^-3`` on 2x2 (``l2 ~
+    (0, 1) and independent of ``H``, so ``U ~ Beta(N, 1)`` for the best
+    of ``N``, and ``X`` has ``2 / (2 - s) * (1 - U s)^-3`` (``l2 ~
     Exp(rate 2)`` and ``l1 - l2 ~ Gamma(3, 1)``, independent).  The
-    estimated link is the 2x1 one at the effective SNR of
+    estimated link is the n_t x 1 one at the effective SNR of
     :func:`estimated_mrc_bpsk_ber`.  The BER ``E Q(sqrt(c X))``, with
     ``c = 2 rho`` for BPSK and ``rho`` per quadrature for QPSK, is
     ``(1/pi) int_0^{pi/2} E_U M(-c / (2 sin^2 t)) dt`` by Craig's
-    formula; ``U = q^(2/N)`` turns ``E_U`` into ``int_0^1 2q f dq``, and
-    both integrals are 200-node Gauss-Legendre sums.
+    formula; ``U = G^-1(q^(2/N))`` turns ``E_U`` into ``int_0^1 2q f
+    dq``, and both integrals are 200-node Gauss-Legendre sums.
     """
+    if link == "mimo22" and n_t != 2:
+        raise ValueError(f"the mimo22 link has n_t = 2, not {n_t}")
     rho = 10.0 ** (snr_db / 10.0)
     if link == "estimated":
-        k = 1.0 / (1.0 + 2.0 / (4.0 * rho))
+        k = 1.0 / (1.0 + n_t / (4.0 * rho))
         rho = rho * k / (rho * (1.0 - k) + 1.0)
     x, w = np.polynomial.legendre.leggauss(200)
     theta = np.pi / 4.0 * (x + 1.0)  # nodes on (0, pi/2), weights * pi/4
@@ -161,13 +167,15 @@ def rvq_ber(link: str, snr_db: float, bits: int | None) -> float:
         u, wu = np.ones(1), np.ones(1)
     else:
         q = 0.5 * (x + 1.0)  # nodes on (0, 1), weights * 1/2
-        u, wu = q ** (2.0 / (1 << bits)), w * q  # 2q dq
+        p = q ** (2.0 / (1 << bits))  # G(U), with P(q^2 <= a) = a
+        u = 1.0 - (1.0 - p) ** (1.0 / (n_t - 1))
+        wu = w * q  # 2q dq
     c = rho if link == "mimo22" else 2.0 * rho
     s = -c / (2.0 * np.sin(theta[:, None]) ** 2)  # (theta, u)
     if link == "mimo22":
         mgf = 2.0 / (2.0 - s) / (1.0 - u * s) ** 3
     elif link in ("miso", "estimated"):
-        mgf = 1.0 / (1.0 - u * s) ** 2
+        mgf = (1.0 - u * s) ** -float(n_t)
     else:
         raise ValueError(f"unknown link {link!r}")
     return float(w @ mgf @ wu / 4.0)  # 1/pi times the Jacobian pi/4

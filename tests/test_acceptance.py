@@ -374,3 +374,25 @@ def test_criterion_10_perfect_curves_match_exact_oracles():
         lines.append(f"{preset} ({len(curves)} curves) max relative "
                      f"deviation {worst:.2%}")
     print("[PASS] criterion 10: " + "; ".join(lines) + " (tolerance 5%)")
+
+
+def test_criterion_11_rvq_above_dim_2_matches_exact_oracle():
+    """At n_t = 4 (fig2-miso's 1-antenna BPSK receiver), fresh B = 2, 4
+    and 8 curves reproduce the exact n_t x 1 BER within 5% relative at
+    10k errors, at 0 and 2 dB, in one sweep.  A B = 8 codebook of 256
+    trials at dim 4 is drawn in two chunks of 128 codewords, so the
+    search carries its running best across a chunk boundary."""
+    config, curves = parse_config(preset="fig2-miso", overrides={
+        "n_t": 4, "curves": [2, 4, 8], "snr_db_points": (0.0, 2.0),
+        "target_errors": 10_000, "max_bits": 40_000_000,
+    })
+    worst = 0.0
+    for bits, curve in zip(curves, run_sweeps(config, curves)):
+        for p in curve.points:
+            ref = rvq_ber("miso", p.snr_db, bits, n_t=4)
+            rel = abs(p.ber - ref) / ref
+            worst = max(worst, rel)
+            assert p.converged and rel <= 0.05, (curve.label, p.snr_db,
+                                                 p.ber, ref, rel)
+    print(f"[PASS] criterion 11: n_t = 4, B = 2, 4, 8 max relative "
+          f"deviation {worst:.2%} (tolerance 5%)")

@@ -428,8 +428,10 @@ def test_tile_size_does_not_change_the_search(rng, monkeypatch):
     stacks of groups on the last run of codewords) and the whole stack
     in one tile give the same index and codeword for every prefix, and
     gains equal to rounding: for a shared codebook in one chunk and in
-    chunks, for per-group codebooks in one chunk, and for a per-group
-    chunk source whose chunk ends fall inside and on prefix ends."""
+    chunks, for per-group codebooks in one chunk, for a per-group
+    chunk source whose chunk ends fall inside and on prefix ends, and
+    for the shared codebook broadcast to every group, which gives what
+    its one group gives bit for bit: one product scores both."""
     t, n, k = 128, 64, 64
     h = rng.standard_normal((t, n, 2, 2)) + 1j * rng.standard_normal((t, n, 2, 2))
     tol = gain_tolerance(h)
@@ -444,10 +446,12 @@ def test_tile_size_does_not_change_the_search(rng, monkeypatch):
         lambda: one_chunk(per_group),
         lambda: (per_group[:, lo:hi].swapaxes(0, 1)
                  for lo, hi in zip(bounds, bounds[1:])),
+        lambda: [np.broadcast_to(shared.vectors[:, None], (k, t, 2))],
     )
     assert lfbeam.codebook._GAIN_BUDGET == 1 << 17
     # stacks of 42 groups on the last run of 48 codewords
     assert -(-t // ((1 << 17) // (n * (k - 16)))) == 4
+    by_source = []
     for words in sources:
         found = []
         for budget in (7 * n, 1 << 17, t * n * k):
@@ -459,6 +463,10 @@ def test_tile_size_does_not_change_the_search(rng, monkeypatch):
             assert np.array_equal(idx_b, idx)
             assert np.array_equal(beam_b, beam)
             assert (np.abs(gain_b - gain) <= tol).all()
+        by_source.append(found)
+    for one, every in zip(by_source[0], by_source[-1]):
+        for x, y in zip(one, every):
+            assert np.array_equal(x, y)
 
 
 def test_prefix_tie_across_chunk_boundary_breaks_low(monkeypatch):
