@@ -13,7 +13,10 @@ Four tables:
   preset (2x1 BPSK beamformed and combined on an LS channel estimate),
 
 followed by the exact bit error rate of each preset's link with the
-best of 2^B random codewords, B = 1, 2, 4 and 8.
+best of 2^B random codewords, B = 1, 2, 4 and 8, and by feedback bits
+against antennas: for n_t = 2, 3 and 4 transmit antennas, the fewest
+bits B that bring the n_t x 1 BPSK link within 0.5 dB of perfect
+feedback at a bit error rate of 1e-3, from the exact law alone.
 
 With --check, a short Monte Carlo run is placed next to each closed
 form: perfect-CSI beamforming on a 2x1 link lands on the two-branch
@@ -43,6 +46,17 @@ from oracles import (
 )
 
 RVQ_BITS = (1, 2, 4, 8)
+# bits against antennas: the gap to perfect feedback allowed at this BER
+GAP_BER, GAP_DB, ANTENNAS = 1e-3, 0.5, (2, 3, 4)
+
+
+def snr_at(ber_of_snr, target, lo=-20.0, hi=60.0):
+    """The SNR in dB at which a falling BER curve crosses ``target``, by
+    bisection to 1e-4 dB."""
+    while hi - lo > 1e-4:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if ber_of_snr(mid) > target else (lo, mid)
+    return 0.5 * (lo + hi)
 
 
 def run_check(snrs, target_errors, max_bits, seed):
@@ -155,6 +169,21 @@ def main(argv=None):
                     cell += f" / {p.ber:.4e}{'' if p.converged else '*'}"
                 row += f"  {cell:>{width}}"
             print(row)
+
+    print()
+    print(f"feedback bits against antennas: the fewest bits B within "
+          f"{GAP_DB} dB of perfect feedback at ber {GAP_BER:g}, n_t x 1 BPSK")
+    print(f"{'n_t':>4}  {'perfect dB':>10}  {'B':>3}  {'gap dB':>7}"
+          f"  {'gap at B-1':>10}")
+    for n_t in ANTENNAS:
+        base = snr_at(lambda s: rvq_ber("miso", s, None, n_t), GAP_BER)
+        gaps = []
+        while not gaps or gaps[-1] > GAP_DB:
+            b = len(gaps)
+            gaps.append(snr_at(lambda s: rvq_ber("miso", s, b, n_t),
+                               GAP_BER) - base)
+        print(f"{n_t:4d}  {base:10.2f}  {len(gaps) - 1:3d}  {gaps[-1]:7.2f}"
+              f"  {gaps[-2]:10.2f}")
     return 0
 
 

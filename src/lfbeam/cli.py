@@ -12,13 +12,12 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import replace
 
 from .simulator import (  # noqa: F401 (run_sweep: perfbench traces it here)
     BerCurve,
     ConfigError,
     SimConfig,
-    _parse_feedback_bits,
+    _sweep_curves,
     run_sweep,
     run_sweeps,
     snr_at_ber,
@@ -47,9 +46,10 @@ _DEFAULT_CURVES: dict[str | None, list[int | None]] = {
 }
 
 
-def _parse_curve_list(raw) -> list[int | None]:
-    """Accept curve entries as scalars or {'feedback_bits': ...} dicts;
-    each curve may appear once."""
+def _parse_curve_list(raw) -> list:
+    """The ``feedback_bits`` of each curve entry, a scalar or a
+    {'feedback_bits': ...} dict; :func:`parse_config` reads and checks
+    them."""
     if not isinstance(raw, (list, tuple)) or not raw:
         raise ConfigError("curves must be a non-empty list")
     out = []
@@ -57,11 +57,8 @@ def _parse_curve_list(raw) -> list[int | None]:
         if isinstance(entry, dict):
             if "feedback_bits" not in entry:
                 raise ConfigError(f"curve entry missing feedback_bits: {entry}")
-            out.append(_parse_feedback_bits(entry["feedback_bits"]))
-        else:
-            out.append(_parse_feedback_bits(entry))
-    if len(set(out)) < len(out):
-        raise ConfigError(f"duplicate curves in {list(raw)}")
+            entry = entry["feedback_bits"]
+        out.append(entry)
     return out
 
 
@@ -132,9 +129,8 @@ def parse_config(
         curves = [config.feedback_bits]
     elif curves is None:
         curves = list(_DEFAULT_CURVES.get(preset, _DEFAULT_CURVES[None]))
-    for bits in curves:  # each curve's range, before any run starts
-        replace(config, feedback_bits=bits).validate()
-    return config, curves
+    # each curve read and checked, and none repeated, before any run starts
+    return config, [c.feedback_bits for c in _sweep_curves(config, curves)[0]]
 
 
 def run_experiment(

@@ -43,7 +43,6 @@ curves, and results are bit-identical for any worker count.
 from __future__ import annotations
 
 import collections
-import numbers
 import os
 from dataclasses import asdict, dataclass, replace
 from typing import Callable
@@ -75,8 +74,10 @@ __all__ = [
 
 MODULATIONS = ("bpsk", "qpsk")
 CSI_MODES = ("perfect", "estimated")
-_INT_FIELDS = ("n_t", "n_r", "n_subcarriers", "n_taps", "n_pilots",
-               "target_errors", "max_bits", "master_seed")
+# integer fields and their least values (None: bounded by other fields)
+_INT_FIELDS = {"n_t": 1, "n_r": 1, "n_subcarriers": None, "n_taps": 1,
+               "n_pilots": None, "target_errors": 1, "max_bits": 1,
+               "master_seed": 0}
 
 # Trials are simulated in fixed-size batches; the stopping rule is
 # checked between batches.  Fixed batches keep the set of simulated
@@ -139,26 +140,36 @@ class SimConfig:
     max_bits: int = 10_000_000
     master_seed: int = 0
 
-    def validate(self) -> None:
-        for key in _INT_FIELDS + ("feedback_bits",):
-            value = getattr(self, key)
-            if key == "feedback_bits" and value is None:
-                continue
-            if isinstance(value, bool) or not isinstance(
-                value, numbers.Integral
-            ):
-                raise ConfigError(f"{key} must be an integer, got {value!r}")
+    def __post_init__(self) -> None:
+        """Read each field the way a config file is read (``4.0`` as 4,
+        ``"perfect"`` as None, a list of SNRs as a tuple of floats), then
+        check every range: a ``SimConfig`` that exists is a valid one."""
+        def put(key, value):
+            object.__setattr__(self, key, value)
+
+        for key, least in _INT_FIELDS.items():
+            value = _as_int(key, getattr(self, key))
+            if least is not None and value < least:
+                raise ConfigError(f"{key} must be >= {least}, got {value}")
+            put(key, value)
+        bits = self.feedback_bits
+        if isinstance(bits, str) and bits == "perfect":
+            put("feedback_bits", None)
+        elif bits is not None:
+            put("feedback_bits", _as_int("feedback_bits", bits))
+        try:
+            put("snr_db_points", tuple(
+                _as_float("snr_db_points entry", s) for s in self.snr_db_points
+            ))
+        except TypeError as e:
+            raise ConfigError(f"bad snr_db_points: {e}") from e
+        if self.pilot_snr_db is not None:
+            put("pilot_snr_db", _as_float("pilot_snr_db", self.pilot_snr_db))
         if not isinstance(self.fresh_codebook, bool):
             raise ConfigError(
                 f"fresh_codebook must be true or false, got "
                 f"{self.fresh_codebook!r}"
             )
-        if self.n_t < 1 or self.n_r < 1:
-            raise ConfigError(
-                f"antenna counts must be >= 1, got n_t={self.n_t} n_r={self.n_r}"
-            )
-        if self.n_taps < 1:
-            raise ConfigError(f"n_taps must be >= 1, got {self.n_taps}")
         if self.n_subcarriers < self.n_taps:
             raise ConfigError(
                 f"n_subcarriers={self.n_subcarriers} must be >= "
@@ -198,16 +209,6 @@ class SimConfig:
             db = getattr(self, key)
             if db is not None and not (np.abs(db) <= 1000.0).all():
                 raise ConfigError(f"{key} must be finite and within +-1000 dB")
-        if self.target_errors < 1:
-            raise ConfigError(
-                f"target_errors must be >= 1, got {self.target_errors}"
-            )
-        if self.max_bits < 1:
-            raise ConfigError(f"max_bits must be >= 1, got {self.max_bits}")
-        if self.master_seed < 0:
-            raise ConfigError(
-                f"master_seed must be >= 0, got {self.master_seed}"
-            )
 
     @property
     def bits_per_symbol(self) -> int:
@@ -222,64 +223,36 @@ class SimConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "SimConfig":
-        known = {f: True for f in cls.__dataclass_fields__}
-        unknown = [k for k in raw if k not in known]
+        unknown = [k for k in raw if k not in cls.__dataclass_fields__]
         if unknown:
             raise ConfigError(f"unknown config key(s): {', '.join(sorted(unknown))}")
-        kwargs = dict(raw)
-        if "feedback_bits" in kwargs:
-            kwargs["feedback_bits"] = _parse_feedback_bits(
-                kwargs["feedback_bits"]
-            )
-        if "snr_db_points" in kwargs:
-            try:
-                kwargs["snr_db_points"] = tuple(
-                    _as_float("snr_db_points entry", s)
-                    for s in kwargs["snr_db_points"]
-                )
-            except TypeError as e:
-                raise ConfigError(f"bad snr_db_points: {e}") from e
-        for key in _INT_FIELDS:
-            if key in kwargs:
-                kwargs[key] = _as_int(key, kwargs[key])
-        if kwargs.get("pilot_snr_db") is not None:
-            kwargs["pilot_snr_db"] = _as_float(
-                "pilot_snr_db", kwargs["pilot_snr_db"]
-            )
-        cfg = cls(**kwargs)
-        cfg.validate()
-        return cfg
+        return cls(**raw)
 
 
 def _as_int(key: str, value) -> int:
-    """``value`` as an int; booleans, strings and non-integral numbers
-    are errors rather than being read as 0/1, parsed or truncated."""
-    if isinstance(value, (bool, str)) or (
-        isinstance(value, float) and not value.is_integer()
-    ):
-        raise ConfigError(f"{key} must be an integer, got {value!r}")
-    try:
-        return int(value)
-    except (TypeError, ValueError) as e:
-        raise ConfigError(f"bad {key}: {e}") from e
+    """``value`` as an int: a number equal to its ``int()`` (an int, a
+    numpy integer, ``4.0``) is read; booleans (numpy's too), strings and
+    every value whose ``int()`` differs (``Fraction(5, 2)``,
+    ``Decimal("2.5")``, ``np.float32(2.7)``, inf, NaN) are errors rather
+    than being read as 0/1, parsed or truncated."""
+    if not isinstance(value, (bool, np.bool_, str)):
+        try:
+            if int(value) == value:
+                return int(value)
+        except (TypeError, ValueError, OverflowError):
+            pass
+    raise ConfigError(f"{key} must be an integer, got {value!r}")
 
 
 def _as_float(key: str, value) -> float:
-    """``value`` as a float; booleans and strings are errors rather than
-    being read as 0/1 or parsed."""
-    if isinstance(value, (bool, str)):
+    """``value`` as a float; booleans (numpy's too) and strings are errors
+    rather than being read as 0/1 or parsed."""
+    if isinstance(value, (bool, np.bool_, str)):
         raise ConfigError(f"{key} must be a number, got {value!r}")
     try:
         return float(value)
     except (TypeError, ValueError) as e:
         raise ConfigError(f"bad {key}: {e}") from e
-
-
-def _parse_feedback_bits(value) -> int | None:
-    """Accept 'perfect'/None for unquantized CSI or an integer bit count."""
-    if value is None or value == "perfect":
-        return None
-    return _as_int("feedback_bits", value)
 
 
 @dataclass(frozen=True)
@@ -372,7 +345,7 @@ def _draw_batch(config: SimConfig, batch: int):
     noise of the trials of batch ``batch``, drawn from its one stream in
     the order bits, taps, ``e``, data noise, one call per array."""
     rng = np.random.default_rng(
-        np.random.SeedSequence([int(config.master_seed), batch])
+        np.random.SeedSequence([config.master_seed, batch])
     )
     t, n = TRIALS_PER_BATCH, config.n_subcarriers
     bits = rng.integers(
@@ -421,7 +394,7 @@ def _beam_directions(
     if set(quantized) & set(running):
         bits = [configs[c].feedback_bits for c in quantized]
         if configs[0].fresh_codebook:
-            seed, groups = [int(configs[0].master_seed), batch, 1], t
+            seed, groups = [configs[0].master_seed, batch, 1], t
         else:
             seed, groups = _codebook_seed(configs[0]), 1
         chunks = _draw_codewords(
@@ -553,15 +526,33 @@ def trial_effective_gains(
     post-combining SNR on subcarrier k is ``rho * |gains[k]|^2``.  One
     call runs the receiver side of the trial's whole batch, fresh
     codebooks included, and returns the trial's row, so its cost grows
-    with 256 * 2**B.
+    with 256 * 2**B.  An ``snr_db`` that a config would refuse, or a
+    ``trial_index`` that is not a count, raises :class:`ConfigError`.
     """
-    config.validate()
-    batch, row = divmod(trial_index, TRIALS_PER_BATCH)
+    # snr_db is read and checked as a config's SNR point is
+    config = replace(config, snr_db_points=(snr_db,))
+    batch, row = divmod(_as_int("trial_index", trial_index), TRIALS_PER_BATCH)
+    if batch < 0:
+        raise ConfigError(f"trial_index must be >= 0, got {trial_index}")
     _, h, e, noise = _draw_batch(config, batch)
-    hr, links = _receiver_links([config], [0], snr_db, h, e, noise, batch)
+    hr, links = _receiver_links(
+        [config], [0], config.snr_db_points[0], h, e, noise, batch
+    )
     beams, gains, _, ok = links[0]
     return {"gains": gains[row], "ok": ok[row], "channel": h[row],
             "rx_channel": hr[row], "beams": beams[row]}
+
+
+def _sweep_curves(config: SimConfig, curves: list) -> tuple[list, list]:
+    """The config and label of each curve of ``curves``: ``config`` with
+    that ``feedback_bits``, read and checked as a config is.  Each curve
+    may appear once; a repeated curve raises :class:`ConfigError`."""
+    configs = [replace(config, feedback_bits=bits) for bits in curves]
+    labels = ["perfect" if c.feedback_bits is None
+              else f"rvq-b{c.feedback_bits}" for c in configs]
+    if len(set(labels)) < len(labels):
+        raise ConfigError(f"duplicate curves in {labels}")
+    return configs, labels
 
 
 def run_sweeps(
@@ -592,12 +583,7 @@ def run_sweeps(
     stops the workers without waiting for the batches in flight.  Each
     curve may appear once; a repeated curve raises :class:`ConfigError`.
     """
-    configs = [replace(config, feedback_bits=bits) for bits in curves]
-    for cfg in configs:
-        cfg.validate()
-    labels = ["perfect" if bits is None else f"rvq-b{bits}" for bits in curves]
-    if len(set(labels)) < len(labels):
-        raise ConfigError(f"duplicate curves in {labels}")
+    configs, labels = _sweep_curves(config, curves)
     n_workers = max(1, n_workers or os.cpu_count() or 1)
     snrs = config.snr_db_points
     totals = np.zeros((len(configs), len(snrs), 3), dtype=np.int64)

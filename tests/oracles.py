@@ -128,6 +128,10 @@ def min_uniform_var(k: int) -> float:
     return second - m * m
 
 
+# rvq_ber's Gauss-Legendre nodes and weights, made once
+_NODES_200 = np.polynomial.legendre.leggauss(200)
+
+
 def rvq_ber(link: str, snr_db: float, bits: int | None, n_t: int = 2) -> float:
     """Exact BER of a beamformed link whose transmit direction is the best
     of ``2**bits`` isotropic random codewords (``bits=None``: the exact
@@ -161,7 +165,7 @@ def rvq_ber(link: str, snr_db: float, bits: int | None, n_t: int = 2) -> float:
     if link == "estimated":
         k = 1.0 / (1.0 + n_t / (4.0 * rho))
         rho = rho * k / (rho * (1.0 - k) + 1.0)
-    x, w = np.polynomial.legendre.leggauss(200)
+    x, w = _NODES_200
     theta = np.pi / 4.0 * (x + 1.0)  # nodes on (0, pi/2), weights * pi/4
     if bits is None:
         u, wu = np.ones(1), np.ones(1)

@@ -1,7 +1,13 @@
 import json
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import lfbeam
 from lfbeam.cli import main, parse_config
 from lfbeam.simulator import ConfigError
 
@@ -126,19 +132,29 @@ def test_main_runs_and_writes_outputs(tmp_path, capsys):
 
 
 def test_manifest_reproduces_run_bit_for_bit(tmp_path):
-    first = tmp_path / "first"
-    again = tmp_path / "again"
-    args = [
-        "--config", str(tiny_config(tmp_path)),
-        "--feedback-bits", "perfect,2",
-    ]
-    assert main(args + ["--out-dir", str(first)]) == 0
-    assert main([
-        "--config", str(first / "manifest.json"),
-        "--out-dir", str(again),
-    ]) == 0
-    for name in ("perfect.csv", "rvq-b2.csv"):
-        assert (first / name).read_bytes() == (again / name).read_bytes()
+    """Replaying a manifest gives the same bytes, also when the config
+    file spelled its integers as floats: the manifest records them read."""
+    floats = tmp_path / "floats"
+    floats.mkdir()
+    for run, args in (
+        ("flags", ["--config", str(tiny_config(tmp_path)),
+                   "--feedback-bits", "perfect,2"]),
+        ("floats", ["--config", str(tiny_config(
+            floats, max_bits=5e4, curves=["perfect", 2.0]))]),
+    ):
+        first = tmp_path / run / "first"
+        again = tmp_path / run / "again"
+        assert main(args + ["--out-dir", str(first)]) == 0
+        assert main([
+            "--config", str(first / "manifest.json"),
+            "--out-dir", str(again),
+        ]) == 0
+        for name in ("perfect.csv", "rvq-b2.csv", "manifest.json"):
+            assert (first / name).read_bytes() == (again / name).read_bytes()
+        manifest = json.loads((first / "manifest.json").read_text())
+        assert manifest["config"]["max_bits"] == 50_000
+        assert [c["feedback_bits"] for c in manifest["curves"]] == [
+            "perfect", 2]
 
 
 def test_threads_flag_does_not_change_output(tmp_path):
@@ -261,3 +277,36 @@ def test_unwritable_out_dir_exits_2(tmp_path, capsys):
     ])
     assert code == 2
     assert "runtime error" in capsys.readouterr().err
+
+
+def test_readme_quick_start_prints_what_the_readme_shows(tmp_path, capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    quick = readme.split("## Quick start", 1)[1]
+    command, shown = re.search(
+        r"```sh\nlfbeam (.*?)\n```\n\n```\n(.*?)```", quick, re.S
+    ).groups()
+    args = command.split()
+    args[args.index("--out-dir") + 1] = str(tmp_path / "results")
+    assert main(args) == 0
+    assert capsys.readouterr().out == shown
+
+
+def test_parsing_a_preset_starts_no_pool_or_logging():
+    """What a user pays before the first trial, ``import lfbeam`` and
+    ``parse_config`` of a preset in a fresh interpreter, imports neither
+    the worker pool nor logging: one worker needs neither."""
+    code = (
+        "import sys\nimport lfbeam\nfrom lfbeam.cli import PRESETS, "
+        "parse_config\n"
+        "for preset in PRESETS:\n"
+        "    parse_config(preset=preset, overrides={'curves': [None, 8], "
+        "'snr_db_points': (0.0, 24.0), 'master_seed': 0, "
+        "'fresh_codebook': False, 'max_bits': 2_000_000})\n"
+        "print(sorted({'concurrent.futures', 'logging', 'multiprocessing'}"
+        " & set(sys.modules)))\n"
+    )
+    src = os.path.dirname(os.path.dirname(lfbeam.__file__))
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, env=dict(os.environ, PYTHONPATH=src))
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == "[]\n"

@@ -1,4 +1,5 @@
 import concurrent.futures
+import json
 import multiprocessing
 import os
 import pickle
@@ -9,6 +10,8 @@ import threading
 import time
 import tracemalloc
 from dataclasses import replace
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -898,6 +901,17 @@ def test_sweep_labels():
     assert run_sweep(SimConfig(feedback_bits=2, **FAST)).label == "rvq-b2"
 
 
+@pytest.mark.parametrize("snr_db, trial_index", [
+    (-4000.0, 3), (float("nan"), 3), (6.0, -1), (6.0, 2.5),
+])
+def test_trial_effective_gains_checks_its_arguments(snr_db, trial_index):
+    """An SNR that a config would refuse, or a trial index that is not a
+    count, is refused instead of giving all-NaN gains or a bare error."""
+    cfg = SimConfig(csi_mode="estimated", n_subcarriers=8)
+    with pytest.raises(ConfigError):
+        trial_effective_gains(cfg, snr_db, trial_index)
+
+
 def test_channels_shared_across_snr_points():
     """Common random numbers: the same trial uses the same channel at
     every SNR point."""
@@ -976,10 +990,20 @@ def test_config_rejects_unknown_keys():
     dict(n_t=2.7),
     dict(target_errors=True),
     dict(feedback_bits=True),
+    # numpy booleans are not read as 0/1, and no number is truncated
+    dict(n_t=np.True_),
+    dict(feedback_bits=np.True_),
+    dict(pilot_snr_db=np.True_),
+    dict(snr_db_points=(np.True_, 4.0)),
+    dict(n_t=Fraction(5, 2)),
+    dict(n_t=Decimal("2.5")),
+    dict(n_t=np.float32(2.7)),
+    dict(max_bits=float("inf")),
+    dict(master_seed=float("nan")),
 ])
 def test_config_validation_rejects(bad):
     with pytest.raises(ConfigError):
-        SimConfig(**bad).validate()
+        SimConfig(**bad)
 
 
 @pytest.mark.parametrize("bad", [
@@ -1002,10 +1026,34 @@ def test_config_validation_rejects(bad):
     {"n_pilots": "4"},
     {"master_seed": "7"},
     {"feedback_bits": "2"},
+    # numpy booleans are not read as 0/1, and no number is truncated
+    {"n_t": np.True_},
+    {"feedback_bits": np.True_},
+    {"pilot_snr_db": np.True_},
+    {"snr_db_points": [np.True_, 4.0]},
+    {"n_t": Fraction(5, 2)},
+    {"n_t": Decimal("2.5")},
+    {"n_t": np.float32(2.7)},
+    {"max_bits": float("inf")},
+    {"master_seed": float("nan")},
 ])
 def test_config_from_dict_rejects(bad):
     with pytest.raises(ConfigError):
         SimConfig.from_dict(bad)
+
+
+@pytest.mark.parametrize("given", [
+    {"n_t": 4.0},
+    {"feedback_bits": "perfect"},
+    {"snr_db_points": [0, 4]},
+    {"master_seed": np.int64(3)},
+])
+def test_config_is_read_alike_by_both_entrances(given):
+    """Building a config reads its fields as a config file is read, so
+    its ``to_dict`` is plain JSON."""
+    cfg = SimConfig(**given)
+    assert cfg == SimConfig.from_dict(given)
+    assert SimConfig.from_dict(json.loads(json.dumps(cfg.to_dict()))) == cfg
 
 
 @pytest.mark.parametrize("bad", [
