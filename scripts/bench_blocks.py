@@ -10,28 +10,31 @@ For each workload of ``perfbench/workloads.py``, and for ``miso-dim4``
 defined here (fig2-miso at n_t = 4 with fresh perfect, B = 2, 4 and 8
 curves at miso-sweep's SNR points: the dim-4 search's cost, on record
 next to the dim-2 one), the sweep's curves are built as the command
-line builds them, every (curve, SNR) pair running, and these stages
-are timed on the blocks of batches 1 to 4 (trials
-256 to 1279) at master seed 1, best of 12 rounds; a round times every
-stage of every workload once, so each stage's best round comes from the
-fastest phase of the machine over the whole run:
+line builds them, every (curve, SNR) pair running, and the library's
+own ``_run_block`` runs the blocks of batches 1 to 4 (trials 256 to
+1279) at master seed 1, best of 12 rounds; a round runs every
+workload's blocks once, so each stage's best round comes from the
+fastest phase of the machine over the whole run.
 
-- ``draw``: ``_draw_batch`` (bits, taps, LS estimation error and data
-  noise, FFT);
-- ``search``: the ``_beam_directions`` calls of the receiver side, with
-  the receiver's channel knowledge given (eigenvectors, the block's one
-  codebook drawn or made, and its one prefix search);
+During a round, ``perfbench/tracing.Tracer`` spans wrap the
+simulator's ``_draw_batch``, ``_beam_directions``, ``_receiver_links``
+and ``_run_block`` (the originals are put back afterwards), and the
+stages are read from the spans, so they add up to the block:
+
+- ``draw``: the time in ``_draw_batch`` (bits, taps, LS estimation
+  error and data noise, FFT);
+- ``search``: the time in ``_beam_directions`` (eigenvectors, the
+  block's one codebook drawn or made, and its one prefix search);
 - ``links``: the rest of ``_receiver_links``, once per block or per SNR
-  point when the pilot power follows the SNR, with the beams given (LS
-  estimate as channel plus scaled error, combiners, each curve's
-  effective gains ``g`` and combined noise ``z``);
-- ``detect``: the rest of ``_run_block`` for all pairs, with the draws
-  and the receiver side of the block given (``sqrt(rho) * g * x + z``,
-  hard decisions and error counts);
+  point when the pilot power follows the SNR (LS estimate as channel
+  plus scaled error, combiners, each curve's effective gains ``g`` and
+  combined noise ``z``);
+- ``detect``: the rest of ``_run_block`` (``sqrt(rho) * g * x + z``,
+  hard decisions and error counts of every pair);
 - ``block``: the whole ``_run_block``, with its minor page faults
   (``ru_minflt``) per block over all of its rounds and the peak of the
-  memory that ``tracemalloc`` traces in one more block (numpy's arrays
-  included), in MB.
+  memory that ``tracemalloc`` traces in one more block, run without
+  spans (numpy's arrays included), in MB.
 
 The pool is timed end to end: one capped estimated-2w ``run_sweeps``
 (the workload's single point, run to its bit cap) at 1 and at 2
@@ -53,10 +56,8 @@ median and the range of the paired ratios (this checkout's time over
 REV's; below 1 is faster), each side's median time, and the ``src/``
 line count of each side.  The machine's speed drifts between runs, so
 a gain is quoted from the paired ratios, not from two absolute records.
-Both trees are driven through this script's calls of ``_draw_batch``,
-``_beam_directions``, ``_receiver_links`` and ``_run_block``, so a
-revision whose signature of any of these four differs from this
-checkout's cannot be timed against it.
+Both trees run their own ``_run_block(configs, active, batch)``, so REV
+needs only that and the three other functions' names.
 """
 
 import os
@@ -93,21 +94,6 @@ DIM4 = ("miso-dim4", "fig2-miso", (None, 2, 4, 8), (0, 4, 8, 12), 1,
         (("n_t", 4),))  # a Workload's fields; timed as blocks only
 
 
-def receiver_side(configs, active, batch, h, est_error, noise):
-    """``_receiver_links`` as ``_run_block`` calls it, per SNR point."""
-    config = configs[0]
-    per_snr = config.csi_mode == "estimated" and config.pilot_snr_db is None
-    links = {}
-    for s, snr_db in enumerate(config.snr_db_points):
-        if not links or per_snr:
-            running = np.flatnonzero(active.any(axis=1)).tolist()
-            last = sim._receiver_links(
-                configs, running, snr_db, h, est_error, noise, batch
-            )
-        links[snr_db] = last
-    return links
-
-
 def src_lines(root=ROOT):
     total = 0
     for path in glob.glob(os.path.join(root, "src", "lfbeam", "*.py")):
@@ -120,107 +106,80 @@ def load(src):
     """Import the library from ``src`` and this checkout's benchmark
     helpers, which import it too; ``BLOCKS`` is the benchmark's
     workloads and ``DIM4``."""
-    global sim, parse_config, environment, WORKLOADS, BLOCKS
+    global sim, parse_config, environment, Tracer, WORKLOADS, BLOCKS
     sys.path[:0] = [src, os.path.join(ROOT, "perfbench")]
     import lfbeam.simulator as sim
     from lfbeam.cli import parse_config
     from measure import environment
+    from tracing import Tracer
     from workloads import WORKLOADS, Workload
     BLOCKS = {**WORKLOADS, DIM4[0]: Workload(*DIM4)}
 
 
-def stage_fns(wl):
-    """The number of running pairs and the timed stages of workload
-    ``wl``, each a function of a batch, with the draws, beams and links
-    that the later stages are given computed once."""
+def sweep_block(wl):
+    """The curves' configs of workload ``wl`` and its (curve, SNR) mask
+    with every pair running."""
     config, curves = parse_config(
         preset=wl.preset, overrides=wl.config_overrides(SEED)
     )
     configs = [replace(config, feedback_bits=bits) for bits in curves]
-    active = np.ones((len(configs), len(config.snr_db_points)), dtype=bool)
-    real_search = sim._beam_directions
-    real_draw, real_links = sim._draw_batch, sim._receiver_links
+    return configs, np.ones((len(configs), len(config.snr_db_points)), bool)
 
-    def draw(batch):
-        return sim._draw_batch(config, batch)
 
-    def receiver(batch):
-        _, h, est_error, noise = draws[batch]
-        return receiver_side(configs, active, batch, h, est_error, noise)
-
-    def record(*args):
-        beams = real_search(*args)
-        searches[args[-1]].append((args, beams))
-        return beams
-
-    def search(batch):
-        for args, _ in searches[batch]:
-            real_search(*args)
-
-    def links_only(batch):
-        replay = iter(searches[batch])
-        sim._beam_directions = lambda *args: next(replay)[1]
-        try:
-            receiver(batch)
-        finally:
-            sim._beam_directions = real_search
-
-    def detect(batch):
-        # _run_block with its draws and receiver side given
-        sim._draw_batch = lambda cfg, batch: draws[batch]
-        sim._receiver_links = (
-            lambda cfgs, running, snr_db, h, est_error, noise, batch:
-            links[batch][snr_db]
-        )
-        try:
-            block(batch)
-        finally:
-            sim._draw_batch, sim._receiver_links = real_draw, real_links
-
-    def block(batch):
-        return sim._run_block(configs, active, batch)
-
-    draws = {batch: draw(batch) for batch in BATCHES}
-    # each search's inputs and beams, recorded on one pass of the
-    # receiver side
-    searches = {batch: [] for batch in BATCHES}
-    sim._beam_directions = record
+def time_blocks(configs, active, batches):
+    """The stage times, in ms per block, of ``_run_block(configs, active,
+    batch)`` over ``batches``, read from spans around it and the three
+    simulator functions it calls, and the blocks' minor page faults.
+    The simulator's functions are its own again on return, also on
+    error."""
+    tracer = Tracer()
+    saved = {name: getattr(sim, name) for name in (
+        "_draw_batch", "_beam_directions", "_receiver_links", "_run_block")}
     try:
-        links = {batch: receiver(batch) for batch in BATCHES}
+        for name, fn in saved.items():
+            setattr(sim, name, tracer.wrap(name, fn))
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        for batch in batches:
+            sim._run_block(configs, active, batch)
+        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
     finally:
-        sim._beam_directions = real_search
-    stages = dict(zip(STAGES, (draw, search, links_only, detect, block)))
-    return int(active.sum()), stages
+        for name, fn in saved.items():
+            setattr(sim, name, fn)
+    spans = tracer.totals()
+    seconds = {
+        "draw": spans["_draw_batch"]["busy_s"],
+        "search": spans["_beam_directions"]["busy_s"],
+        "links": spans["_receiver_links"]["self_s"],
+        "detect": spans["_run_block"]["self_s"],
+        "block": spans["_run_block"]["busy_s"],
+    }
+    ms = {f"{stage}_ms": seconds[stage] / len(batches) * 1e3
+          for stage in STAGES}
+    return ms, faults
 
 
 def bench():
     """Each workload's stage times, the best of ``REPEATS`` rounds of the
-    mean time per block.  A round times every stage of every workload
-    once, so each stage's rounds are spread over the whole run and its
-    best round is taken from the machine's fastest phase in that time."""
-    prepared = {name: stage_fns(wl) for name, wl in BLOCKS.items()}
-    out = {name: {"pairs": pairs} for name, (pairs, _) in prepared.items()}
-    faults = dict.fromkeys(prepared, 0)
-    for name, (_, stages) in prepared.items():
-        stages["block"](BATCHES[0])  # settle the heap before counting faults
+    mean time per block.  A round runs every workload's blocks once, so
+    each stage's rounds are spread over the whole run and its best round
+    is taken from the machine's fastest phase in that time."""
+    blocks = {name: sweep_block(wl) for name, wl in BLOCKS.items()}
+    out = {name: {"pairs": int(active.sum())}
+           for name, (_, active) in blocks.items()}
+    faults = dict.fromkeys(blocks, 0)
+    for configs, active in blocks.values():
+        sim._run_block(configs, active, BATCHES[0])  # settle the heap
     for _ in range(REPEATS):
-        for name, (_, stages) in prepared.items():
-            for stage, fn in stages.items():
-                before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-                t0 = time.perf_counter()
-                for batch in BATCHES:
-                    fn(batch)
-                ms = (time.perf_counter() - t0) / len(BATCHES) * 1e3
-                after = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-                key = f"{stage}_ms"
-                out[name][key] = min(out[name].get(key, ms), ms)
-                if stage == "block":
-                    faults[name] += after - before
-    for name, (_, stages) in prepared.items():
+        for name, (configs, active) in blocks.items():
+            ms, minflt = time_blocks(configs, active, BATCHES)
+            faults[name] += minflt
+            for key, value in ms.items():
+                out[name][key] = min(out[name].get(key, value), value)
+    for name, (configs, active) in blocks.items():
         out[name]["minflt_per_block"] = faults[name] / (len(BATCHES) * REPEATS)
         tracemalloc.start()
         try:
-            stages["block"](BATCHES[0])
+            sim._run_block(configs, active, BATCHES[0])
             peak = tracemalloc.get_traced_memory()[1]
             out[name]["tracemalloc_peak_mb"] = peak / 2**20
         finally:
@@ -291,9 +250,10 @@ def main(argv=None):
     p.add_argument("--out", required=True, help="JSON record to write")
     p.add_argument("--against", metavar="REV",
                    help="time this checkout against git revision REV; "
-                        "REV must have this checkout's signatures of "
-                        "_draw_batch, _beam_directions, _receiver_links "
-                        "and _run_block")
+                        "each tree's own _run_block(configs, active, "
+                        "batch) is run, with spans around it and its "
+                        "_draw_batch, _beam_directions and "
+                        "_receiver_links")
     p.add_argument("--src",
                    help="time only the stages, of the library sources in "
                         "SRC (default: this checkout's, and the pool)")

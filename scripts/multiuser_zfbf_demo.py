@@ -13,11 +13,13 @@ perfect-direction feedback (exact zero crosstalk) as the last row.
 """
 
 import argparse
+import os
 import sys
 
 import numpy as np
 
-sys.path.insert(0, "src")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(ROOT, "src"))
 
 from lfbeam.beamforming import SingularStackError, zfbf_precoders, zfbf_sinr
 from lfbeam.channel import gen_rayleigh_flat

@@ -27,12 +27,14 @@ and so do the B-bit curves of each preset, from one sweep per preset.
 """
 
 import argparse
+import os
 import sys
 
 import numpy as np
 
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 # the package, and the closed forms the tests check it against
-sys.path[:0] = ["src", "tests"]
+sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "tests")]
 
 from lfbeam.cli import PRESETS
 from lfbeam.codebook import gen_rvq, quantize_direction

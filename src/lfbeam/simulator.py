@@ -572,7 +572,8 @@ def run_sweeps(
     count: a pair stops once it has counted ``target_errors`` bit errors
     or ``ceil(max_bits / batch_bits)`` batches have been reduced, and
     ``on_point(label, point)`` is called as it does.  ``n_workers``
-    processes (0 picks the CPU count) take whole batches, up to
+    processes (0 picks the CPU count; a negative or non-integer count
+    raises :class:`ConfigError`) take whole batches, up to
     ``2 * n_workers`` in flight and topped up as each result comes back
     (one at a time in this process for one worker), but none past the
     cap.  A batch carries the running pairs as they stood when it was
@@ -584,7 +585,10 @@ def run_sweeps(
     curve may appear once; a repeated curve raises :class:`ConfigError`.
     """
     configs, labels = _sweep_curves(config, curves)
-    n_workers = max(1, n_workers or os.cpu_count() or 1)
+    n_workers = _as_int("n_workers", n_workers)
+    if n_workers < 0:
+        raise ConfigError(f"n_workers must be >= 0, got {n_workers}")
+    n_workers = n_workers or os.cpu_count() or 1
     snrs = config.snr_db_points
     totals = np.zeros((len(configs), len(snrs), 3), dtype=np.int64)
     active = np.ones(totals.shape[:2], dtype=bool)

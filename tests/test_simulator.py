@@ -1,4 +1,5 @@
 import concurrent.futures
+import importlib.util
 import json
 import multiprocessing
 import os
@@ -686,6 +687,44 @@ def test_duplicate_curves_rejected():
         run_sweeps(SimConfig(**FAST), [2, None, 2])
     with pytest.raises(ConfigError):
         run_sweeps(SimConfig(**FAST), [None, None])
+
+
+@pytest.mark.parametrize("n_workers", [-1, 2.5, True, np.float64(1.5)])
+def test_sweep_rejects_a_worker_count_that_is_not_a_count(n_workers):
+    """Refused as a config refuses a bad integer, instead of running on
+    one worker or failing inside the pool."""
+    with pytest.raises(ConfigError, match="n_workers"):
+        run_sweeps(SimConfig(**FAST), [None], n_workers=n_workers)
+
+
+def test_bench_stages_add_up_to_the_real_block(monkeypatch):
+    """``scripts/bench_blocks.py`` reads a block's stages from spans
+    around the simulator's own ``_run_block``: they add up to the block,
+    none is negative, and the simulator's functions are its own again
+    afterwards, also when the block raises."""
+    src = os.path.dirname(os.path.dirname(lfbeam.simulator.__file__))
+    script = os.path.join(os.path.dirname(src), "scripts", "bench_blocks.py")
+    # the script sets these and prepends to sys.path; both are put back
+    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.setenv(var, "1")
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    spec = importlib.util.spec_from_file_location("bench_blocks", script)
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+    bench.load(src)
+    names = ("_run_block", "_receiver_links", "_beam_directions", "_draw_batch")
+    originals = [getattr(lfbeam.simulator, name) for name in names]
+    configs = [SimConfig(feedback_bits=bits, **FAST) for bits in (None, 2)]
+    active = np.ones((2, len(FAST["snr_db_points"])), dtype=bool)
+    ms, _ = bench.time_blocks(configs, active, [1])
+    stages = [ms[f"{stage}_ms"] for stage in ("draw", "search", "links",
+                                               "detect")]
+    assert min(stages) >= 0.0
+    assert sum(stages) == pytest.approx(ms["block_ms"], rel=1e-9, abs=0)
+    assert [getattr(lfbeam.simulator, name) for name in names] == originals
+    with pytest.raises(ValueError):  # a negative batch has no stream
+        bench.time_blocks(configs, active, [-1])
+    assert [getattr(lfbeam.simulator, name) for name in names] == originals
 
 
 @pytest.fixture
