@@ -41,6 +41,8 @@ def main(argv=None):
                     help="comma-separated feedback budgets to sweep")
     ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args(argv)
+    if args.drops < 1:  # every row averages over its drops
+        ap.error(f"argument --drops: must be at least 1, got {args.drops}")
 
     budgets = [int(b) for b in args.bits.split(",")]
     total_power = 10.0 ** (args.power_db / 10.0)

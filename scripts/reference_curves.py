@@ -1,29 +1,22 @@
 #!/usr/bin/env python3
 """Print the closed-form reference values the simulator is checked against.
 
-Four tables:
-
-* flat-Rayleigh BPSK bit error rate for a single receive branch and for
-  two-branch maximum-ratio combining, over an SNR grid,
-* the expected minimum quantization distortion of a random codebook on
-  two transmit antennas, which for 2^B unit vectors is 1/(2^B + 1),
-* the exact perfect-CSI bit error rate of the fig3-mimo22 preset (2x2
-  QPSK on the dominant eigenmode), and
-* the exact perfect-feedback bit error rate of the fig4-estimated
-  preset (2x1 BPSK beamformed and combined on an LS channel estimate),
-
-followed by the exact bit error rate of each preset's link with the
-best of 2^B random codewords, B = 1, 2, 4 and 8, and by feedback bits
-against antennas: for n_t = 2, 3 and 4 transmit antennas, the fewest
-bits B that bring the n_t x 1 BPSK link within 0.5 dB of perfect
-feedback at a bit error rate of 1e-3, from the exact law alone.
+For each preset of the command line, fig2-miso (2x1 BPSK), fig3-mimo22
+(2x2 QPSK on the dominant eigenmode) and fig4-estimated (2x1 BPSK
+beamformed and combined on an LS channel estimate), one table of the
+exact bit error rate over an SNR grid, from ``tests/oracles.py:rvq_ber``:
+with perfect feedback, and with the best of 2^B random codewords, B = 0
+(a single random beam), 1, 2, 4 and 8.  Then the expected minimum
+quantization distortion of a random codebook on two transmit antennas,
+which for 2^B unit vectors is 1/(2^B + 1), and feedback bits against
+antennas: for n_t = 2, 3 and 4 transmit antennas, the fewest bits B
+that bring the n_t x 1 BPSK link within 0.5 dB of perfect feedback at
+a bit error rate of 1e-3, from the exact law alone.
 
 With --check, a short Monte Carlo run is placed next to each closed
-form: perfect-CSI beamforming on a 2x1 link lands on the two-branch
-curve, a single random beam (B=0) lands on the one-branch curve, an
-empirical distortion mean lands on the 1/(2^B+1) law, the perfect
-curves of fig3-mimo22 and fig4-estimated land on their exact values,
-and so do the B-bit curves of each preset, from one sweep per preset.
+form: each preset's six curves come from one sweep, built as the
+command line builds it, and an empirical distortion mean is placed
+next to the 1/(2^B+1) law.
 """
 
 import argparse
@@ -36,18 +29,13 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 # the package, and the closed forms the tests check it against
 sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "tests")]
 
-from lfbeam.cli import PRESETS
+from lfbeam.cli import _parse_snr_flag, parse_config
 from lfbeam.codebook import gen_rvq, quantize_direction
-from lfbeam.simulator import SimConfig, run_sweeps
-from oracles import (
-    estimated_mrc_bpsk_ber,
-    max_eigenmode_qpsk_ber,
-    min_uniform_mean,
-    rayleigh_mrc_bpsk_ber,
-    rvq_ber,
-)
+from lfbeam.simulator import ConfigError, run_sweeps
+from oracles import min_uniform_mean, rvq_ber
 
-RVQ_BITS = (1, 2, 4, 8)
+# perfect feedback, then B bits
+CURVES = (None, 0, 1, 2, 4, 8)
 # bits against antennas: the gap to perfect feedback allowed at this BER
 GAP_BER, GAP_DB, ANTENNAS = 1e-3, 0.5, (2, 3, 4)
 
@@ -61,27 +49,10 @@ def snr_at(ber_of_snr, target, lo=-20.0, hi=60.0):
     return 0.5 * (lo + hi)
 
 
-def run_check(snrs, target_errors, max_bits, seed):
-    """Perfect-CSI and single-random-beam (B=0) curves from one sweep."""
-    return run_sweeps(SimConfig(
-        n_t=2, n_r=1, snr_db_points=tuple(snrs),
-        target_errors=target_errors, max_bits=max_bits, master_seed=seed,
-    ), [None, 0])
-
-
-def run_preset_check(preset, snrs, target_errors, max_bits, seed,
-                     curves=(None,)):
-    """Curves of a CLI preset from one sweep, the perfect-CSI one by
-    default."""
-    return run_sweeps(SimConfig(
-        snr_db_points=tuple(snrs), target_errors=target_errors,
-        max_bits=max_bits, master_seed=seed, **PRESETS[preset],
-    ), list(curves))
-
-
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--snr", default="0,2,4,6,8,10,12,14,16,18,20",
+    ap.add_argument("--snr", type=_parse_snr_flag,
+                    default="0,2,4,6,8,10,12,14,16,18,20",
                     help="comma-separated SNR grid in dB")
     ap.add_argument("--check", action="store_true",
                     help="run a short simulation next to each closed form")
@@ -90,28 +61,42 @@ def main(argv=None):
     ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args(argv)
 
-    snrs = [float(s) for s in args.snr.split(",")]
+    links = {"fig2-miso": "miso", "fig3-mimo22": "mimo22",
+             "fig4-estimated": "estimated"}  # each preset's link in rvq_ber
+    flags = {"snr_db_points": args.snr, "target_errors": args.target_errors,
+             "max_bits": args.max_bits, "master_seed": args.seed,
+             "curves": list(CURVES)}
+    try:
+        configs = [parse_config(preset=p, overrides=flags)[0] for p in links]
+    except ConfigError as e:
+        ap.error(str(e))
 
-    header = f"{'snr_db':>7}  {'1-branch':>12}  {'2-branch':>12}"
+    width = 25 if args.check else 12
+    for (preset, link), config in zip(links.items(), configs):
+        sims = run_sweeps(config, list(CURVES)) if args.check else None
+        link_text = f"{config.n_t}x{config.n_r} {config.modulation.upper()}"
+        if config.csi_mode == "estimated":
+            link_text += (f" on an LS estimate, {config.n_pilots} pilots "
+                          f"at rho/{config.n_t}")
+        print(f"{preset}, {link_text}, perfect and B feedback bits: exact "
+              f"bit error rate" + (" / simulated" if sims else ""))
+        print(f"{'snr_db':>7}" + "".join(
+            f"  {'perfect' if b is None else f'B={b}':>{width}}"
+            for b in CURVES))
+        for i, s in enumerate(config.snr_db_points):
+            row = f"{s:7.1f}"
+            for j, b in enumerate(CURVES):
+                cell = f"{rvq_ber(link, s, b):.4e}"
+                if sims:
+                    p = sims[j].points[i]
+                    cell += f" / {p.ber:.4e}{'' if p.converged else '*'}"
+                row += f"  {cell:>{width}}"
+            print(row)
+        print()
     if args.check:
-        header += f"  {'sim B=0':>12}  {'sim perfect':>12}"
-        perfect, single = run_check(
-            snrs, args.target_errors, args.max_bits, args.seed)
-    print("flat-Rayleigh BPSK bit error rate")
-    print(header)
-    for i, s in enumerate(snrs):
-        row = (f"{s:7.1f}  {rayleigh_mrc_bpsk_ber(s, 1):12.4e}"
-               f"  {rayleigh_mrc_bpsk_ber(s, 2):12.4e}")
-        if args.check:
-            pb0 = single.points[i]
-            pbf = perfect.points[i]
-            row += (f"  {pb0.ber:12.4e}{'' if pb0.converged else '*'}"
-                    f"  {pbf.ber:12.4e}{'' if pbf.converged else '*'}")
-        print(row)
-    if args.check:
-        print("  (* = stopped on the bit cap before reaching the error target)")
+        print("(* = stopped on the bit cap before reaching the error target)")
+        print()
 
-    print()
     print("random-codebook distortion, two transmit antennas")
     print(f"{'bits':>5}  {'1/(2^B+1)':>11}" +
           (f"  {'empirical':>11}" if args.check else ""))
@@ -128,49 +113,6 @@ def main(argv=None):
                 acc += quantize_direction(h, cb).distortion
             row += f"  {acc / n:11.5f}"
         print(row)
-
-    est = SimConfig(**PRESETS["fig4-estimated"])
-    for title, preset, exact in (
-        ("fig3-mimo22 perfect CSI: 2x2 QPSK max-eigenmode bit error rate",
-         "fig3-mimo22", max_eigenmode_qpsk_ber),
-        (f"fig4-estimated perfect feedback: 2x1 BPSK on an LS estimate, "
-         f"{est.n_pilots} pilots at rho/{est.n_t}", "fig4-estimated",
-         lambda s: estimated_mrc_bpsk_ber(s, est.n_t, est.n_pilots)),
-    ):
-        print()
-        print(title)
-        print(f"{'snr_db':>7}  {'exact':>12}" +
-              (f"  {'sim perfect':>12}" if args.check else ""))
-        if args.check:
-            curve, = run_preset_check(
-                preset, snrs, args.target_errors, args.max_bits, args.seed)
-        for i, s in enumerate(snrs):
-            row = f"{s:7.1f}  {exact(s):12.4e}"
-            if args.check:
-                p = curve.points[i]
-                row += f"  {p.ber:12.4e}{'' if p.converged else '*'}"
-            print(row)
-
-    for preset, link in (("fig2-miso", "miso"), ("fig3-mimo22", "mimo22"),
-                         ("fig4-estimated", "estimated")):
-        print()
-        print(f"{preset} with B feedback bits: exact bit error rate"
-              + (" / simulated" if args.check else ""))
-        width = 25 if args.check else 12
-        print(f"{'snr_db':>7}" + "".join(
-            f"  {f'B={b}':>{width}}" for b in RVQ_BITS))
-        if args.check:
-            curves = run_preset_check(preset, snrs, args.target_errors,
-                                      args.max_bits, args.seed, RVQ_BITS)
-        for i, s in enumerate(snrs):
-            row = f"{s:7.1f}"
-            for j, b in enumerate(RVQ_BITS):
-                cell = f"{rvq_ber(link, s, b):.4e}"
-                if args.check:
-                    p = curves[j].points[i]
-                    cell += f" / {p.ber:.4e}{'' if p.converged else '*'}"
-                row += f"  {cell:>{width}}"
-            print(row)
 
     print()
     print(f"feedback bits against antennas: the fewest bits B within "

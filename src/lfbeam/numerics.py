@@ -75,8 +75,9 @@ def dominant_right_eigvec_batch(
 
     ``mats`` has shape (n, r, c).  There are three routes:
 
-    - a single row (``r == 1``) has the closed form ``conj(a) / ||a||``,
-      and an all-zero row gets the first unit vector;
+    - a single row (``r == 1``) has the closed form ``conj(a) / ||a||``
+      and ``lam = ||a||^2``, and an all-zero row gets the first unit
+      vector;
     - two columns (``c == 2``) take the top eigenpair of the 2x2 Gram
       matrix in closed form: with ``half = (g11 - g22)/2`` and
       ``root = sqrt(half^2 + |g12|^2)``, ``lam = (g11 + g22)/2 + root``
@@ -84,7 +85,7 @@ def dominant_right_eigvec_batch(
       ``(g12, root - half)``, so neither subtracts nearly equal numbers;
       its squared norm is ``2 root (root + |half|)``, and a zero ``v``
       (no unique direction) becomes the first unit vector;
-    - otherwise ``v`` is the top eigenvector of the Gram matrix
+    - otherwise ``(lam, v)`` is the top eigenpair of the Gram matrix
       ``a^H a`` from ``np.linalg.eigh``.
 
     Returns ``(v, lam)`` of shapes (n, c) and (n,): ``||v|| = 1`` with
@@ -95,7 +96,8 @@ def dominant_right_eigvec_batch(
     if mats.shape[1] == 1:
         v = mats[:, 0, :].conj()
         # np.linalg.norm's arithmetic
-        norms = np.sqrt(_sum_rows((v.conj() * v).real))
+        lam = _sum_rows((v.conj() * v).real)
+        norms = np.sqrt(lam)
         zero = norms == 0.0
         v /= np.where(zero, 1.0, norms)[:, None]
         if zero.any():
@@ -117,10 +119,9 @@ def dominant_right_eigvec_batch(
         v /= np.where(zero, 1.0, norms)[:, None]
         if zero.any():
             v[zero] = (1.0, 0.0)
-        return _phase_fix_rows(v), 0.5 * (g11 + g22) + root
+        lam = 0.5 * (g11 + g22) + root
     else:
         gram = np.einsum("nij,nik->njk", mats.conj(), mats)
-        v = np.linalg.eigh(gram)[1][:, :, -1]
-    v = _phase_fix_rows(v)
-    av = np.einsum("nij,nj->ni", mats, v)
-    return v, _sum_rows(np.abs(av) ** 2)
+        w, vecs = np.linalg.eigh(gram)
+        v, lam = vecs[:, :, -1], w[:, -1]
+    return _phase_fix_rows(v), lam

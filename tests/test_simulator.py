@@ -1,5 +1,4 @@
 import concurrent.futures
-import importlib.util
 import json
 import multiprocessing
 import os
@@ -697,21 +696,13 @@ def test_sweep_rejects_a_worker_count_that_is_not_a_count(n_workers):
         run_sweeps(SimConfig(**FAST), [None], n_workers=n_workers)
 
 
-def test_bench_stages_add_up_to_the_real_block(monkeypatch):
+def test_bench_stages_add_up_to_the_real_block(load_script):
     """``scripts/bench_blocks.py`` reads a block's stages from spans
     around the simulator's own ``_run_block``: they add up to the block,
     none is negative, and the simulator's functions are its own again
     afterwards, also when the block raises."""
-    src = os.path.dirname(os.path.dirname(lfbeam.simulator.__file__))
-    script = os.path.join(os.path.dirname(src), "scripts", "bench_blocks.py")
-    # the script sets these and prepends to sys.path; both are put back
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        monkeypatch.setenv(var, "1")
-    monkeypatch.setattr(sys, "path", list(sys.path))
-    spec = importlib.util.spec_from_file_location("bench_blocks", script)
-    bench = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(bench)
-    bench.load(src)
+    bench = load_script("bench_blocks")
+    bench.load(os.path.dirname(os.path.dirname(lfbeam.simulator.__file__)))
     names = ("_run_block", "_receiver_links", "_beam_directions", "_draw_batch")
     originals = [getattr(lfbeam.simulator, name) for name in names]
     configs = [SimConfig(feedback_bits=bits, **FAST) for bits in (None, 2)]
