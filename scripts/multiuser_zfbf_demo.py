@@ -23,12 +23,26 @@ sys.path.insert(0, os.path.join(ROOT, "src"))
 
 from lfbeam.beamforming import SingularStackError, zfbf_precoders, zfbf_sinr
 from lfbeam.channel import gen_rayleigh_flat
-from lfbeam.codebook import gen_rvq, quantize_direction
+from lfbeam.codebook import MAX_BITS, gen_rvq, quantize_direction
 
 
 def drop_sinrs(h, directions, total_power):
     beams = zfbf_precoders(directions)
     return [zfbf_sinr(h[u], beams, u, total_power) for u in range(len(h))]
+
+
+def bit_budgets(text):
+    """The comma-separated feedback budgets of ``--bits``, each an
+    integer in [0, MAX_BITS]."""
+    try:
+        budgets = [int(b) for b in text.split(",")]
+    except ValueError as e:
+        raise argparse.ArgumentTypeError(f"bad --bits list: {e}") from None
+    for b in budgets:
+        if not 0 <= b <= MAX_BITS:
+            raise argparse.ArgumentTypeError(
+                f"bad --bits list: {b} is outside [0, {MAX_BITS}]")
+    return budgets
 
 
 def main(argv=None):
@@ -37,17 +51,16 @@ def main(argv=None):
                     help="independent channel realizations per row")
     ap.add_argument("--power-db", type=float, default=10.0,
                     help="total transmit power over the noise floor, dB")
-    ap.add_argument("--bits", default="1,2,4,6,8",
+    ap.add_argument("--bits", type=bit_budgets, default="1,2,4,6,8",
                     help="comma-separated feedback budgets to sweep")
     ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args(argv)
     if args.drops < 1:  # every row averages over its drops
         ap.error(f"argument --drops: must be at least 1, got {args.drops}")
 
-    budgets = [int(b) for b in args.bits.split(",")]
     total_power = 10.0 ** (args.power_db / 10.0)
     rows = []
-    for bits in [*budgets, None]:
+    for bits in [*args.bits, None]:
         rng = np.random.default_rng(args.seed)  # same drops for every row
         sinr_acc = 0.0
         rate_acc = 0.0

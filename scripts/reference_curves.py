@@ -49,9 +49,18 @@ def snr_at(ber_of_snr, target, lo=-20.0, hi=60.0):
     return 0.5 * (lo + hi)
 
 
+def snr_list(text):
+    """``--snr`` read as ``lfbeam --snr`` reads it, its error shown as
+    a usage error."""
+    try:
+        return _parse_snr_flag(text)
+    except ConfigError as e:
+        raise argparse.ArgumentTypeError(str(e)) from None
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--snr", type=_parse_snr_flag,
+    ap.add_argument("--snr", type=snr_list,
                     default="0,2,4,6,8,10,12,14,16,18,20",
                     help="comma-separated SNR grid in dB")
     ap.add_argument("--check", action="store_true",

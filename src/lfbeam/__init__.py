@@ -2,11 +2,7 @@
 beamformer selection, zero-forcing precoding, and Monte Carlo BER
 sweeps."""
 
-from .numerics import (
-    SingularMatrixError,
-    dominant_right_eigvec_batch,
-    mat_inverse,
-)
+from .numerics import dominant_right_eigvec_batch
 from .channel import (
     InvalidLengthError,
     ShapeMismatchError,

@@ -4,8 +4,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .numerics import SingularMatrixError, mat_inverse
-
 __all__ = [
     "SingularStackError",
     "apply_power_constraint",
@@ -45,16 +43,26 @@ def zfbf_precoders(directions: np.ndarray) -> np.ndarray:
     column of the inverse is user j's beam: it is orthogonal to every
     other user's direction, so users hear no intended-signal crosstalk
     through their quantized directions.
+
+    Raises :class:`SingularStackError` if that stack ``d`` is singular
+    or its 1-norm condition estimate ``norm1(d) * norm1(inv(d))``
+    exceeds 1e12.
     """
-    d = np.asarray(directions, dtype=np.complex128)
+    d = np.conj(np.asarray(directions, dtype=np.complex128))
     if d.ndim != 2 or d.shape[0] != d.shape[1]:
         raise ValueError(
             f"need a square stack of directions, got shape {d.shape}"
         )
     try:
-        inv = mat_inverse(np.conj(d))
-    except SingularMatrixError as e:
+        inv = np.linalg.inv(d)
+    except np.linalg.LinAlgError as e:
         raise SingularStackError(f"user directions are dependent: {e}") from e
+    cond = np.linalg.norm(d, 1) * np.linalg.norm(inv, 1)
+    if not cond <= 1e12:  # also refuses a NaN estimate
+        raise SingularStackError(
+            f"user directions are dependent: condition estimate {cond:.3e} "
+            "exceeds 1e12"
+        )
     cols = inv / np.linalg.norm(inv, axis=0, keepdims=True)
     return cols.T.copy()
 

@@ -146,20 +146,17 @@ def quantize_direction(h: np.ndarray, codebook: Codebook) -> QuantizationResult:
     return _quantize(h.conj()[None], codebook, power)
 
 
-def select_beamformer(
-    h: np.ndarray, codebook: Codebook, rho: float
-) -> QuantizationResult:
+def select_beamformer(h: np.ndarray, codebook: Codebook) -> QuantizationResult:
     """Pick the codeword maximizing beamformed rate on a MIMO channel.
 
-    Maximizes ``log2(1 + rho * ||H w||^2)`` over the codebook, which
-    for any ``rho > 0`` is the same ordering as ``||H w||^2``; ties
-    resolve to the lowest index.  ``metric`` is the winning
-    ``||H w||^2`` and ``distortion = 1 - metric / lam_max`` where
-    ``lam_max`` is the largest eigenvalue of ``H^H H`` (the gain of the
-    unquantized optimal direction).
+    The rate ``log2(1 + rho * ||H w||^2)`` ranks the codewords as
+    ``||H w||^2`` does at every SNR ``rho > 0``, so the choice needs only
+    the channel and the codebook; ties resolve to the lowest index.
+    ``metric`` is the winning ``||H w||^2`` and ``distortion = 1 -
+    metric / lam_max`` where ``lam_max`` is the largest eigenvalue of
+    ``H^H H`` (the gain of the unquantized optimal direction).  An
+    all-zero ``H`` raises :class:`ZeroChannelError`.
     """
-    if rho <= 0.0:
-        raise ValueError(f"rho must be positive, got {rho}")
     h = np.asarray(h, dtype=np.complex128)
     if h.ndim == 1:
         h = h[None, :]
@@ -168,19 +165,21 @@ def select_beamformer(
             f"channel has {h.shape[1]} columns, codebook has dim {codebook.dim}"
         )
     _, lam = dominant_right_eigvec_batch(h[None])
+    if lam[0] == 0.0:
+        raise ZeroChannelError("cannot select a beam for an all-zero channel")
     return _quantize(h, codebook, float(lam[0]))
 
 
 def _quantize(h: np.ndarray, codebook: Codebook, reference: float):
     """The codeword maximizing ``||H w||^2`` for one (n_r, dim) channel
     ``h``; ``distortion`` is ``1 - metric / reference`` clipped to [0, 1]
-    for the unquantized gain ``reference``, or 0 if that is not positive.
+    for the positive unquantized gain ``reference``.
     """
     index, gain, _ = _best_codewords(
         h[None, None], [codebook.vectors[:, None]], [len(codebook)]
     )
     metric = float(gain[0, 0, 0])
-    lost = 1.0 - metric / reference if reference > 0.0 else 0.0
+    lost = 1.0 - metric / reference
     return QuantizationResult(int(index[0, 0, 0]), min(max(lost, 0.0), 1.0),
                               metric)
 

@@ -1,47 +1,17 @@
-"""Dense complex linear algebra for small antenna-array problems.
+"""The dominant right singular direction (the MRT beam) of a stack of
+small complex matrices.
 
-Everything operates on plain numpy arrays with dtype complex128 and is
-written for the tiny matrices that show up in beamforming (a handful of
-rows and columns).  The dominant right singular direction (the MRT
-beam) has one batched routine with three routes: the rank-one closed
-form for single-row channels, the closed-form top eigenpair of the 2x2
-Gram matrix for two-column channels, and ``np.linalg.eigh`` on the Gram
-matrix otherwise.  All three are exact up to rounding and have no
-convergence criterion.
+One batched routine on complex128 arrays, written for the tiny matrices
+of beamforming (a handful of rows and columns), with three routes: the
+rank-one closed form for single-row channels, the closed-form top
+eigenpair of the 2x2 Gram matrix for two-column channels, and
+``np.linalg.eigh`` on the Gram matrix otherwise.  All three are exact up
+to rounding and have no convergence criterion.
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-# Inverses whose 1-norm condition estimate exceeds this are refused.
-COND_LIMIT = 1e12
-
-
-class SingularMatrixError(ValueError):
-    """Matrix is singular or too ill-conditioned to invert reliably."""
-
-
-def mat_inverse(a: np.ndarray) -> np.ndarray:
-    """Invert a small square complex matrix with ``np.linalg.inv``.
-
-    Raises :class:`SingularMatrixError` if the matrix is exactly
-    singular or if the 1-norm condition estimate
-    ``norm1(a) * norm1(inv(a))`` exceeds ``COND_LIMIT``.
-    """
-    a = np.asarray(a, dtype=np.complex128)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    try:
-        inv = np.linalg.inv(a)
-    except np.linalg.LinAlgError as e:
-        raise SingularMatrixError(f"singular matrix: {e}") from e
-    cond = np.linalg.norm(a, 1) * np.linalg.norm(inv, 1)
-    if not cond <= COND_LIMIT:  # also refuses a NaN estimate
-        raise SingularMatrixError(
-            f"condition estimate {cond:.3e} exceeds {COND_LIMIT:.0e}"
-        )
-    return inv
 
 
 def _sum_rows(x: np.ndarray) -> np.ndarray:

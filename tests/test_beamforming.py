@@ -148,14 +148,15 @@ def test_zfbf_hand_case():
     assert abs(np.vdot(d[1], v0)) <= 1e-12
 
 
-def test_zfbf_zero_forcing_invariant(rng):
+@pytest.mark.parametrize("dim", [2, 3, 4])
+def test_zfbf_zero_forcing_invariant(rng, dim):
     """h_i^H v_j == 0 for i != j on random direction stacks."""
     for _ in range(50):
-        d = random_complex(rng, (2, 2))
+        d = random_complex(rng, (dim, dim))
         d /= np.linalg.norm(d, axis=1, keepdims=True)
         p = zfbf_precoders(d)
-        for i in range(2):
-            for j in range(2):
+        for i in range(dim):
+            for j in range(dim):
                 cross = abs(np.vdot(d[i], p[j]))
                 if i == j:
                     assert cross > 1e-6
@@ -168,6 +169,14 @@ def test_zfbf_dependent_directions_raise():
     w = np.array([1.0, 1.0j]) / np.sqrt(2)
     with pytest.raises(SingularStackError):
         zfbf_precoders(np.stack([w, w]))
+
+
+def test_zfbf_near_dependent_directions_raise():
+    """The inverse exists but its condition estimate is past 1e12."""
+    d = np.array([[1.0, 1.0], [1.0, 1.0 + 1e-13]], dtype=complex)
+    d /= np.linalg.norm(d, axis=1, keepdims=True)
+    with pytest.raises(SingularStackError):
+        zfbf_precoders(d)
 
 
 def test_zfbf_rejects_non_square():

@@ -229,27 +229,17 @@ def test_select_hand_case():
     h = np.diag([2.0 + 0j, 1.0 + 0j])
     vectors = np.eye(2, dtype=complex)
     cb = Codebook(vectors, bits=1, dim=2, seed=0)
-    res = select_beamformer(h, cb, rho=1.0)
+    res = select_beamformer(h, cb)
     assert res.index == 0
     assert abs(res.metric - 4.0) <= 1e-12
     assert res.distortion <= 1e-10
-
-
-def test_selection_is_rho_invariant(rng):
-    cb = gen_rvq(2, 5, seed=4)
-    for _ in range(25):
-        h = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-        lo = select_beamformer(h, cb, rho=0.1)
-        hi = select_beamformer(h, cb, rho=100.0)
-        assert lo.index == hi.index
-        assert lo.metric == hi.metric
 
 
 def test_selection_metric_bounded_by_top_eigenvalue(rng):
     cb = gen_rvq(2, 6, seed=11)
     for _ in range(50):
         h = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-        res = select_beamformer(h, cb, rho=1.0)
+        res = select_beamformer(h, cb)
         lam, _ = top_sv_direction(h)
         assert res.metric <= lam * (1.0 + 1e-9)
         assert abs(res.distortion - (1.0 - res.metric / lam)) <= 1e-9
@@ -260,7 +250,7 @@ def test_selection_beats_every_other_codeword(rng):
     so the metric agrees to rounding; the winner is the same."""
     cb = gen_rvq(2, 4, seed=2)
     h = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-    res = select_beamformer(h, cb, rho=2.0)
+    res = select_beamformer(h, cb)
     gains = (np.abs(h @ cb.vectors.T) ** 2).sum(axis=0)
     assert abs(res.metric - gains.max()) <= gain_tolerance(h)
     assert res.index == int(np.argmax(gains))
@@ -273,16 +263,20 @@ def test_selection_ratio_grows_with_bits():
     ratios = np.empty(2000)
     for i in range(ratios.shape[0]):
         h = (rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))) / np.sqrt(2)
-        res = select_beamformer(h, cb, rho=1.0)
+        res = select_beamformer(h, cb)
         lam, _ = top_sv_direction(h)
         ratios[i] = res.metric / lam
     assert ratios.mean() >= 0.95
 
 
-def test_select_rejects_bad_rho():
-    cb = gen_rvq(2, 1, seed=0)
-    with pytest.raises(ValueError):
-        select_beamformer(np.eye(2, dtype=complex), cb, rho=0.0)
+@pytest.mark.parametrize("shape", [(2,), (1, 3), (2, 2), (3, 4)],
+                         ids=["vector", "1x3", "2x2", "3x4"])
+def test_select_refuses_a_zero_channel(shape):
+    """As in ``quantize_direction``, an all-zero channel has no
+    direction to pick, on each eigen route."""
+    cb = gen_rvq(shape[-1], 3, seed=0)
+    with pytest.raises(ZeroChannelError):
+        select_beamformer(np.zeros(shape, dtype=complex), cb)
 
 
 # ---------------------------------------------------------- _best_codewords

@@ -3,11 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lfbeam.numerics import (
-    SingularMatrixError,
-    dominant_right_eigvec_batch,
-    mat_inverse,
-)
+from lfbeam.beamforming import SingularStackError, zfbf_precoders
+from lfbeam.numerics import dominant_right_eigvec_batch
 from oracles import top_sv_direction
 
 
@@ -36,62 +33,22 @@ def assert_phase_convention(v):
         assert first.real >= 0.0
 
 
-# -------------------------------------------------------------- mat_inverse
-
-
-def test_inverse_of_identity():
-    eye = np.eye(3, dtype=complex)
-    assert np.allclose(mat_inverse(eye), eye, atol=1e-14)
-
-
-def test_inverse_of_diagonal():
-    a = np.diag([2.0 + 0j, 4.0j])
-    inv = mat_inverse(a)
-    assert np.allclose(inv, np.diag([0.5, -0.25j]), atol=1e-14)
-
-
-def test_inverse_residual_small(rng):
-    for _ in range(20):
-        a = random_complex(rng, (4, 4)) + 4.0 * np.eye(4)
-        inv = mat_inverse(a)
-        residual = np.linalg.norm(a @ inv - np.eye(4))
-        assert residual <= 1e-10
-
-
-def test_inverse_matches_hand_2x2():
-    # [[1, 2], [3, 4]] has inverse [[-2, 1], [1.5, -0.5]]
-    a = np.array([[1.0, 2.0], [3.0, 4.0]], dtype=complex)
-    assert np.allclose(mat_inverse(a), [[-2.0, 1.0], [1.5, -0.5]], atol=1e-12)
+# ------------------------------- inverse of a direction stack (zfbf_precoders)
 
 
 def test_singular_matrix_raises():
-    with pytest.raises(SingularMatrixError):
-        mat_inverse(np.array([[1.0, 1.0], [1.0, 1.0]], dtype=complex))
+    with pytest.raises(SingularStackError):
+        zfbf_precoders(np.array([[1.0, 1.0], [1.0, 1.0]], dtype=complex))
 
 
 def test_zero_pivot_raises():
-    with pytest.raises(SingularMatrixError):
-        mat_inverse(np.zeros((2, 2), dtype=complex))
-
-
-def test_near_singular_condition_estimate_raises():
-    # pivots survive the floor but the condition estimate must not
-    a = np.array([[1.0, 1.0], [1.0, 1.0 + 1e-13]], dtype=complex)
-    with pytest.raises(SingularMatrixError):
-        mat_inverse(a)
+    with pytest.raises(SingularStackError):
+        zfbf_precoders(np.zeros((2, 2), dtype=complex))
 
 
 def test_inverse_rejects_non_square():
     with pytest.raises(ValueError):
-        mat_inverse(np.ones((2, 3), dtype=complex))
-
-
-@given(st.integers(0, 2**32 - 1))
-@settings(max_examples=25, deadline=None)
-def test_inverse_of_inverse_recovers(seed):
-    a = random_complex(np.random.default_rng(seed), (3, 3)) + 3.0 * np.eye(3)
-    back = mat_inverse(mat_inverse(a))
-    assert np.allclose(back, a, atol=1e-8)
+        zfbf_precoders(np.ones((2, 3), dtype=complex))
 
 
 # ------------------------------------------- dominant_right_eigvec_batch

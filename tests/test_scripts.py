@@ -41,7 +41,10 @@ def test_reference_curves_refuses_a_bad_snr_list(load_script, capsys, snr):
     with pytest.raises(SystemExit) as stop:
         load_script("reference_curves").main([f"--snr={snr}"])
     assert stop.value.code == 2
-    assert "usage:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "usage:" in err
+    if snr == "0,x":
+        assert "bad --snr list: could not convert string to float: 'x'" in err
 
 
 def test_demo_refuses_fewer_than_one_drop(load_script, capsys):
@@ -49,3 +52,12 @@ def test_demo_refuses_fewer_than_one_drop(load_script, capsys):
         load_script("multiuser_zfbf_demo").main(["--drops", "0"])
     assert stop.value.code == 2
     assert "--drops" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bits", ["1,,2", "99", "-1", "x"])
+def test_demo_refuses_a_bad_bits_list(load_script, capsys, bits):
+    with pytest.raises(SystemExit) as stop:
+        load_script("multiuser_zfbf_demo").main([f"--bits={bits}"])
+    assert stop.value.code == 2
+    err = capsys.readouterr().err
+    assert "usage:" in err and "--bits" in err
