@@ -10,11 +10,13 @@ For each workload of ``perfbench/workloads.py``, and for ``miso-dim4``
 defined here (fig2-miso at n_t = 4 with fresh perfect, B = 2, 4 and 8
 curves at miso-sweep's SNR points: the dim-4 search's cost, on record
 next to the dim-2 one), the sweep's curves are built as the command
-line builds them, every (curve, SNR) pair running, and the library's
-own ``_run_block`` runs the blocks of batches 1 to 4 (trials 256 to
-1279) at master seed 1, best of 12 rounds; a round runs every
-workload's blocks once, so each stage's best round comes from the
-fastest phase of the machine over the whole run.
+line builds them, and the library's own ``_run_block`` runs the blocks
+of batches 1 to 4 (trials 256 to 1279) at master seed 1, best of 12
+rounds; a round runs every row's blocks once, so each stage's best
+round comes from the fastest phase of the machine over the whole run.
+Each workload has two rows: one with every (curve, SNR) pair running,
+and ``NAME@top`` with only each curve's highest SNR running, the shape
+of most blocks of a sweep once its low-SNR points have stopped.
 
 During a round, ``perfbench/tracing.Tracer`` spans wrap the
 simulator's ``_draw_batch``, ``_beam_directions``, ``_receiver_links``
@@ -116,14 +118,18 @@ def load(src):
     BLOCKS = {**WORKLOADS, DIM4[0]: Workload(*DIM4)}
 
 
-def sweep_block(wl):
-    """The curves' configs of workload ``wl`` and its (curve, SNR) mask
-    with every pair running."""
+def sweep_blocks(name, wl):
+    """The rows of workload ``wl``: its curves' configs with the (curve,
+    SNR) mask of every pair running, under ``name``, and with the mask
+    of only the highest SNR running, under ``name@top``."""
     config, curves = parse_config(
         preset=wl.preset, overrides=wl.config_overrides(SEED)
     )
     configs = [replace(config, feedback_bits=bits) for bits in curves]
-    return configs, np.ones((len(configs), len(config.snr_db_points)), bool)
+    every = np.ones((len(configs), len(config.snr_db_points)), bool)
+    top = np.zeros_like(every)
+    top[:, -1] = True
+    return {name: (configs, every), f"{name}@top": (configs, top)}
 
 
 def time_blocks(configs, active, batches):
@@ -159,11 +165,13 @@ def time_blocks(configs, active, batches):
 
 
 def bench():
-    """Each workload's stage times, the best of ``REPEATS`` rounds of the
-    mean time per block.  A round runs every workload's blocks once, so
+    """Each row's stage times, the best of ``REPEATS`` rounds of the
+    mean time per block.  A round runs every row's blocks once, so
     each stage's rounds are spread over the whole run and its best round
     is taken from the machine's fastest phase in that time."""
-    blocks = {name: sweep_block(wl) for name, wl in BLOCKS.items()}
+    blocks = {}
+    for name, wl in BLOCKS.items():
+        blocks.update(sweep_blocks(name, wl))
     out = {name: {"pairs": int(active.sum())}
            for name, (_, active) in blocks.items()}
     faults = dict.fromkeys(blocks, 0)
@@ -266,9 +274,9 @@ def main(argv=None):
                   "repeats": REPEATS, **against(args.against)}
         print(f"this checkout against {args.against}, {PAIRS} pairs: "
               "median [min, max] of the paired time ratios")
-        print(f"{'workload':14s} " + " ".join(f"{s:>19s}" for s in STAGES))
+        print(f"{'workload':18s} " + " ".join(f"{s:>19s}" for s in STAGES))
         for name, stages in record["workloads"].items():
-            print(f"{name:14s} " + " ".join(
+            print(f"{name:18s} " + " ".join(
                 "{ratio_median:5.3f} [{ratio_min:5.3f}, {ratio_max:5.3f}]"
                 .format(**stages[s]) for s in STAGES))
         with open(args.out, "w") as f:
@@ -291,12 +299,12 @@ def main(argv=None):
     }
     print(f"{env['cpu']}, {env['nproc']} CPUs, Python {env['python']}, "
           f"numpy {env['numpy']}, {env['blas']}")
-    print(f"{'workload':14s} {'pairs':>5s} {'draw':>8s} {'search':>8s} "
+    print(f"{'workload':18s} {'pairs':>5s} {'draw':>8s} {'search':>8s} "
           f"{'links':>8s} {'detect':>8s} {'block':>8s} {'minflt':>7s} "
           f"{'peak MB':>8s}  (ms per block)")
     record["workloads"] = bench()
     for name, r in record["workloads"].items():
-        print(f"{name:14s} {r['pairs']:5d} {r['draw_ms']:8.2f} "
+        print(f"{name:18s} {r['pairs']:5d} {r['draw_ms']:8.2f} "
               f"{r['search_ms']:8.2f} {r['links_ms']:8.2f} "
               f"{r['detect_ms']:8.2f} {r['block_ms']:8.2f} "
               f"{r['minflt_per_block']:7.0f} "

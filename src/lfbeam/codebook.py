@@ -8,12 +8,13 @@ the binary file format below, so only the selected index needs feedback.
 
 from __future__ import annotations
 
+import functools
 import struct
 from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import dominant_right_eigvec_batch
+from .numerics import _sum_rows, dominant_right_eigvec_batch
 
 __all__ = [
     "CodebookTooLargeError",
@@ -37,6 +38,11 @@ _HEADER = struct.Struct("<III")  # dim, bits, seed
 # product, the same in a block of any size.  Tiles this small stay on
 # the heap because the simulator primes glibc's malloc at import.
 _GAIN_BUDGET = 1 << 17
+
+# Share of ||H||_F^2 by which a gain must clear its floor before the
+# search stops early (:func:`_best_codewords`): the rounding error of a
+# gain in lifted form is a few float64 ulps of ||H||_F^2.
+_GAIN_SLACK = 1e-9
 
 # Normals per chunk of drawn codewords (2 MB): a codebook is drawn,
 # scored and dropped this many at a time.
@@ -209,26 +215,34 @@ def _lift(x: np.ndarray) -> np.ndarray:
 
 
 def _best_codewords(
-    h: np.ndarray, chunks, sizes: list[int]
+    h: np.ndarray, chunks, sizes: list[int], floors=None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Best codeword per channel matrix among each prefix of a codebook.
 
-    ``h`` is a (t, n, n_r, dim) stack of channel matrices.  ``chunks``
-    yields the codebook codeword-major, as (w, g, dim) arrays of its
-    next ``w`` unit codewords: one codebook shared by every group
-    (g = 1) or one per group (g = t), ``max(sizes)`` codewords in all.
-    For each prefix size ``s`` in ``sizes`` the result holds the argmax
-    of ``||H w||^2`` over the first ``s`` codewords: ``(index, gain,
-    beam)``, (len(sizes), t, n) each and (len(sizes), t, n, dim).
+    ``h`` is a (t, n, n_r, dim) stack of channel matrices, n rows for
+    each of t trials.  ``chunks`` yields the codebook codeword-major, as
+    (w, g, dim) arrays of its next ``w`` unit codewords: one codebook
+    shared by every trial (g = 1) or one per trial (g = t),
+    ``max(sizes)`` codewords in all.  For each prefix size ``s`` in
+    ``sizes`` the result holds, per row, the argmax of ``||H w||^2``
+    over the first ``s`` codewords, or over a shorter prefix whose best
+    already clears the row's floor: ``(index, gain, beam)``,
+    (len(sizes), t, n) each and (len(sizes), t, n, dim).
+
+    Without ``floors`` the search is exact.  ``floors`` holds one floor
+    per entry of ``sizes``, a (t, n) array or a scalar for every row.
+    At each prefix end ``a`` below the largest, a row is done once its
+    best gain over the first ``a`` codewords is above the floor of every
+    size beyond ``a`` by more than ``_GAIN_SLACK * ||H||_F^2``, which
+    bounds the rounding of a gain, and that best stands for those sizes.
+    A trial is no longer scored once all its rows are done, unless more
+    than three quarters of the trials are left: then copying theirs out
+    costs more than scoring them all.
 
     Gains are one real GEMM in lifted form, the channel's features
-    ``sum_r _lift(conj(H_r))`` times each chunk's ``_lift(w)``, lifted
-    once, so the cost does not grow with n_r.  A chunk's lifted
-    codewords are read as a (t, m*m, w) stack, a shared group broadcast
-    to every group, and each run of codewords between prefix ends is
-    scored by one stacked product in tiles of whole groups within
-    ``_GAIN_BUDGET`` gains, a group's tile the same product whatever the
-    stack or block size.  The tiles merge into a running best index,
+    ``sum_r _lift(conj(H_r))`` times the codewords' ``_lift(w)``, so the
+    cost does not grow with n_r.  Each run of codewords between prefix
+    ends is scored by :func:`_score_run` into a running best index,
     gain and vector, which every prefix end reads; the first maximizer
     wins, so ties break to the lowest index.
     """
@@ -242,52 +256,99 @@ def _best_codewords(
     # is exact, and the codewords outnumber the channels
     feats[:, :, dim:] *= 2.0
     ends = sorted(set(sizes))
-    idx = np.empty(t * n, np.intp)
-    gain = np.empty(t * n)
+    idx = np.empty((t, n), np.intp)
+    gain = np.empty((t, n))
     vec, found, lo = None, {}, 0
+    live = None  # the trials still scored, None for all of them
+    if floors is not None:
+        # a row is done only above its floor by more than the rounding
+        # error of its gain, a tiny share of ||H||_F^2
+        slack = _sum_rows(feats[:, :, :dim].reshape(t * n, dim))
+        slack = slack.reshape(t, n) * _GAIN_SLACK
     for chunk in chunks:
         size, g = chunk.shape[:2]
-        # every group's (m*m, size) columns, read in place, and each
-        # channel's group: its row among the chunk's first codewords
-        lifted = np.broadcast_to(_lift(chunk).transpose(1, 2, 0),
-                                 (t, dim * dim, size))
-        group = np.repeat(np.arange(g), t * n // g)
+        trial = np.arange(t)[:, None] if g > 1 else 0  # each row's group
         hi = lo + size
         cuts = sorted({lo, hi}.union(e for e in ends if lo < e < hi))
         for a, b in zip(cuts, cuts[1:]):
-            width = max(1, min(b - a, _GAIN_BUDGET // n))
-            stack = max(1, _GAIN_BUDGET // (n * width))
-            for c in range(a, b, width):
-                w = min(c + width, b) - c
-                cols = lifted[:, :, c - lo : c - lo + w]
-                # where each row of a tile starts in its flat gains
-                starts = np.arange(0, min(stack, t) * n * w, w)
-                for r in range(0, t, stack):
-                    rows = slice(r * n, (r + stack) * n)
-                    tile = feats[r : r + stack] @ cols[r : r + stack]
-                    tile = tile.reshape(-1, w)
-                    best = tile.argmax(axis=1)
-                    score = tile.take(best + starts[: len(best)])
-                    del tile  # one tile at a time
-                    if c == 0:
-                        idx[rows], gain[rows] = best, score
-                    else:  # strict: earlier codewords keep ties
-                        better = score > gain[rows]
-                        np.copyto(idx[rows], best + c, where=better)
-                        np.copyto(gain[rows], score, where=better)
+            _score_run(feats, chunk[a - lo : b - lo], idx, gain, a, live)
             # winners from this chunk take their vectors from it, once
             # scored: the chunk is dropped before the next one is drawn
             at = idx - lo
-            won = chunk.reshape(-1, dim).take(at.clip(0) * g + group, axis=0)
+            won = chunk.reshape(-1, dim).take(at.clip(0) * g + trial, axis=0)
             if lo:  # winners from earlier chunks keep theirs
-                np.copyto(won, vec, where=(at < 0)[:, None])
+                np.copyto(won, vec, where=(at < 0)[..., None])
             vec = won
             if b in ends:
                 found[b] = idx.copy(), gain.copy(), vec
+                if floors is not None and b < ends[-1]:
+                    above = {id(f): f for s, f in zip(sizes, floors) if s > b}
+                    floor = functools.reduce(np.maximum, above.values())
+                    done = (gain - slack > floor).all(axis=1)
+                    live = np.flatnonzero(~done)
+                    if 4 * len(live) > 3 * t:  # copying them costs more
+                        live = None
         lo = hi
-        chunk = lifted = cols = None
-    return tuple(np.stack(x).reshape((-1, t, n) + x[0].shape[1:])
-                 for x in zip(*(found[e] for e in sizes)))
+        chunk = None
+    return tuple(np.stack(x) for x in zip(*(found[e] for e in sizes)))
+
+
+def _score_run(feats, words, idx, gain, a: int, live) -> None:
+    """Merge a run of codewords ``a``, ``a + 1``, ... into the running
+    best ``idx`` and ``gain``, (t, n), of the trials ``live`` (an index
+    array, None for all of them), in place; ``a`` = 0 sets them.
+    ``feats`` are the (t, n, m*m) lifted channel features and ``words``
+    the run's (w, g, dim) codewords, g = 1 for one codebook shared by
+    every trial.
+
+    The trials are taken a group at a time, their codewords lifted
+    within half of ``_GAIN_BUDGET`` values (a shared codebook once, for
+    all of them), so that a group's copied, conjugated and lifted
+    codewords take no more memory than a tile, and scored in tiles of
+    whole trials within ``_GAIN_BUDGET`` gains.  A trial's tile is the
+    same (n, m*m) by (m*m, w) product whatever the tile, group or block
+    size and whichever trials are scored: only whole trials are left
+    out, as a one-row product would take BLAS's matrix-vector path and
+    round differently.
+    """
+    t, n = feats.shape[:2]
+    size, g, dim = words.shape
+    width = max(1, min(size, _GAIN_BUDGET // n))
+    stack = max(1, _GAIN_BUDGET // (n * width))
+    span = t
+    if g > 1:  # whole stacks of trials whose lifted codewords fit
+        span = _GAIN_BUDGET // 2 // (dim * dim * size) // stack
+        span = max(1, span) * stack
+    for s in range(0, t if live is None else len(live), span):
+        # views of a range of trials, or copies of the live ones
+        sel = slice(s, s + span) if live is None else live[s : s + span]
+        sub_feats, sub_idx, sub_gain = feats[sel], idx[sel], gain[sel]
+        k = len(sub_feats)
+        lifted = np.broadcast_to(
+            _lift(words[:, sel] if g > 1 else words).transpose(1, 2, 0),
+            (k, dim * dim, size))
+        for c in range(0, size, width):
+            w = min(c + width, size) - c
+            cols = lifted[:, :, c : c + w]
+            # where each row of a tile starts in its flat gains
+            starts = np.arange(0, min(stack, k) * n * w, w)
+            for r in range(0, k, stack):
+                best_idx = sub_idx[r : r + stack].reshape(-1)
+                best_gain = sub_gain[r : r + stack].reshape(-1)
+                tile = sub_feats[r : r + stack] @ cols[r : r + stack]
+                tile = tile.reshape(-1, w)
+                best = tile.argmax(axis=1)
+                score = tile.take(best + starts[: len(best)])
+                del tile  # one tile at a time
+                if a + c == 0:
+                    best_idx[...], best_gain[...] = best, score
+                else:  # strict: earlier codewords keep ties
+                    better = score > best_gain
+                    np.copyto(best_idx, best + a + c, where=better)
+                    np.copyto(best_gain, score, where=better)
+        if live is not None:
+            idx[sel], gain[sel] = sub_idx, sub_gain
+        lifted = cols = None  # dropped before the next group is lifted
 
 
 def save_codebook(codebook: Codebook, path) -> None:

@@ -88,6 +88,10 @@ TRIALS_PER_BATCH = 256
 # mode; far outside any reachable batch index.
 _CODEBOOK_STREAM = 2**62 + 11
 
+# Relative margin of the codeword search's floors (:func:`_search_floors`):
+# far above the rounding of the links and detection.
+_FLOOR_MARGIN = 1e-9
+
 # Prime glibc's malloc: freeing one untouched 16 MB mapping raises its
 # mmap threshold to 16 MB and its trim threshold to 32 MB (mallopt(3)),
 # so a block's temporaries are reused on the heap instead of being
@@ -367,6 +371,7 @@ def _beam_directions(
     running: list[int],
     hr: np.ndarray,
     batch: int,
+    floors: list | None = None,
 ) -> dict[int, np.ndarray]:
     """Unit transmit directions per trial and subcarrier from receiver CSI.
 
@@ -380,7 +385,9 @@ def _beam_directions(
     ``SeedSequence([master_seed, batch, 1])`` when codebooks are fresh,
     else one that every trial shares, from :func:`_codebook_seed`, drawn
     here once per block by :func:`_draw_codewords`.  The B-bit curve
-    takes the best of the first 2**B codewords.
+    takes the best of the first 2**B codewords, or of a shorter prefix
+    whose best clears its floor in ``floors`` (one per quantized curve,
+    in config order; see :func:`_search_floors`).
     """
     t, n, n_r, n_t = hr.shape
     beams = {}
@@ -400,9 +407,59 @@ def _beam_directions(
         chunks = _draw_codewords(
             np.random.default_rng(seed), 1 << max(bits), groups, n_t
         )
-        _, _, found = _best_codewords(hr, chunks, [1 << b for b in bits])
+        _, _, found = _best_codewords(hr, chunks, [1 << b for b in bits],
+                                      floors)
         beams.update(zip(quantized, found))
     return beams
+
+
+def _search_floors(configs, lowest, e, sigma, noise):
+    """The codeword search's floor of each quantized curve, in config
+    order: a (t, n) array per curve in ``lowest``, which maps the
+    running curves to their lowest running SNR, and -inf for the others,
+    whose beams are not read.  None when no quantized curve has a
+    smaller one, as the search could then skip nothing.
+
+    With ``hr = h + sigma * e``, a unit beam ``b`` of subcarrier k with
+    ``||hr_k b||^2 >= G`` has an effective gain ``g = a^H h_k b`` within
+    ``sigma * ||e_k||`` of ``||hr_k b|| >= sqrt(G)``, as ``h_k b = hr_k
+    b - sigma e_k b``, and a combined noise ``|z| <= ||n_k||``, so each
+    decision part of ``sqrt(rho) g x + z`` lies on the sent sign's side
+    by at least ``sqrt(rho) (q sqrt(G) - sigma ||e_k||) - ||n_k||``,
+    q = 1 for BPSK and 1/sqrt(2) for QPSK.  Every beam above the floor
+    ``((||n_k|| / sqrt(rho) + sigma ||e_k||) / q)^2`` at the lowest
+    running SNR therefore sends the same bits as the exact best, none of
+    them in error and none null-skipped: the counts do not change.  The
+    floor is raised by ``_FLOOR_MARGIN`` of itself, far above the
+    rounding of the links and detection.
+    """
+    if len({cfg.feedback_bits for cfg in configs} - {None}) < 2:
+        return None
+    t, n = noise.shape[:2]
+
+    def norm(x):  # Frobenius norm per subcarrier
+        x = x.reshape(t * n, -1)
+        return np.sqrt(_sum_rows(x.real ** 2 + x.imag ** 2)).reshape(t, n)
+
+    q = np.sqrt(0.5) if configs[0].modulation == "qpsk" else 1.0
+    noise_norm = norm(noise)
+    reach = 0.0 if e is None else sigma * norm(e)
+    floors, by_snr = [], {}
+    for c, cfg in enumerate(configs):
+        if cfg.feedback_bits is None:
+            continue
+        if c not in lowest:
+            floors.append(-np.inf)
+            continue
+        snr_db = lowest[c]
+        if snr_db not in by_snr:
+            f = noise_norm * (1.0 / np.sqrt(10.0 ** (snr_db / 10.0)))
+            f += reach
+            f *= f
+            f *= (1.0 + _FLOOR_MARGIN) / (q * q)
+            by_snr[snr_db] = f
+        floors.append(by_snr[snr_db])
+    return floors
 
 
 def _receiver_links(
@@ -413,6 +470,7 @@ def _receiver_links(
     e: np.ndarray | None,
     noise: np.ndarray,
     batch: int,
+    lowest: dict[int, float] | None = None,
 ):
     """The links of the curves in ``running`` at one SNR point.
 
@@ -426,19 +484,27 @@ def _receiver_links(
     and the mask of subcarriers whose effective channel ``hr_k b_k`` is
     nonzero (``g`` and ``z`` are 0 elsewhere).
     Under perfect CSI ``a`` is ``conj(h b) / ||h b||``, so ``g`` is the
-    norm ``||h b||`` that scales the combiner, a real gain.
+    norm ``||h b||`` that scales the combiner, a real gain.  With
+    ``lowest``, each running curve's lowest running SNR, the codeword
+    search may stop early where that cannot change a count (see
+    :func:`_search_floors`); without it the search is exact.
     """
     config = configs[0]
+    sigma = 0.0
     if config.csi_mode == "estimated":
         if config.pilot_snr_db is None:
             rho_p = 10.0 ** (snr_db / 10.0) / config.n_t
         else:
             rho_p = 10.0 ** (config.pilot_snr_db / 10.0)
-        hr = e * (1.0 / np.sqrt(config.n_pilots * rho_p))
+        sigma = 1.0 / np.sqrt(config.n_pilots * rho_p)
+        hr = e * sigma
         hr += h
     else:
         hr = h
-    beams = _beam_directions(configs, running, hr, batch)
+    floors = None
+    if lowest is not None:
+        floors = _search_floors(configs, lowest, e, sigma, noise)
+    beams = _beam_directions(configs, running, hr, batch, floors)
     t, n = h.shape[:2]
     links = {}
     for c in running:
@@ -475,9 +541,11 @@ def _run_block(
     detects ``sqrt(rho) * g * x + z`` in one buffer, reads each bit as
     the sign of the real or imaginary part of its symbol (the hard
     decisions of :func:`demodulate`) and counts its errors on the
-    subcarriers that are not null-skipped.  Returns an int64 (curves,
-    SNR points, 3) array of bits sent, bit errors and null skips, zero
-    where inactive.
+    subcarriers that are not null-skipped.  The codeword search stops
+    early on the trials whose bits a smaller curve's winner already
+    settles at each curve's lowest running SNR (:func:`_search_floors`),
+    which changes no count.  Returns an int64 (curves, SNR points, 3)
+    array of bits sent, bit errors and null skips, zero where inactive.
     """
     config = configs[0]
     n = config.n_subcarriers
@@ -488,6 +556,7 @@ def _run_block(
     sent = bits.view(bool).reshape(-1, n, bps)
     per_snr = config.csi_mode == "estimated" and config.pilot_snr_db is None
     out = np.zeros(active.shape + (3,), dtype=np.int64)
+    first = active.argmax(axis=1)  # each curve's lowest running SNR point
     links = None
     for s, snr_db in enumerate(config.snr_db_points):
         if not active[:, s].any():
@@ -496,8 +565,10 @@ def _run_block(
             running = np.flatnonzero(
                 active[:, s] if per_snr else active.any(axis=1)
             ).tolist()
+            lowest = {c: config.snr_db_points[s if per_snr else first[c]]
+                      for c in running}
             _, links = _receiver_links(
-                configs, running, snr_db, h, e, noise, batch
+                configs, running, snr_db, h, e, noise, batch, lowest
             )
         amp = np.sqrt(10.0 ** (snr_db / 10.0))
         for c in np.flatnonzero(active[:, s]).tolist():

@@ -359,9 +359,9 @@ def test_fixed_codebook_is_the_gen_rvq_codebook(monkeypatch):
     searched = []
     search = lfbeam.simulator._best_codewords
 
-    def search_spy(h, chunks, sizes):
+    def search_spy(h, chunks, sizes, floors=None):
         searched.extend(chunks)
-        return search(h, searched, sizes)
+        return search(h, searched, sizes, floors)
 
     _, h, _, _ = _draw_batch(cfg, 0)
     with monkeypatch.context() as m:
@@ -400,11 +400,11 @@ def test_fixed_curves_share_one_search(monkeypatch):
         made.append((bits, seed))
         return draw(rng, size, groups, dim)
 
-    def search_spy(configs, running, hr, batch):
+    def search_spy(configs, running, hr, batch, floors=None):
         searches.append(
             any(configs[c].feedback_bits is not None for c in running)
         )
-        return search(configs, running, hr, batch)
+        return search(configs, running, hr, batch, floors)
 
     monkeypatch.setattr(lfbeam.simulator, "_draw_codewords", draw_spy)
     monkeypatch.setattr(lfbeam.simulator, "_beam_directions", search_spy)
@@ -616,6 +616,86 @@ def test_fresh_curve_does_not_depend_on_the_largest_curve():
     joint = run_sweeps(cfg, [1, 10])
     alone = run_sweep(replace(cfg, feedback_bits=1))
     assert joint[0].to_csv_text() == alone.to_csv_text()
+
+
+def _tail_trials(monkeypatch, configs, active, batch):
+    """The block of ``batch`` and the trials its codeword search scored
+    past the second largest prefix end: the tail that the floors let it
+    skip, 0 when no trial was scored there."""
+    bits = sorted({c.feedback_bits for c in configs} - {None})
+    calls = []
+    score = lfbeam.codebook._score_run
+
+    def spy(feats, words, idx, gain, a, live):
+        calls.append((a, len(feats) if live is None else len(live)))
+        return score(feats, words, idx, gain, a, live)
+
+    with monkeypatch.context() as m:
+        m.setattr(lfbeam.codebook, "_score_run", spy)
+        block = _run_block(configs, active, batch)
+    tail = [k for a, k in calls if a >= 1 << bits[-2]]
+    return block, max(tail, default=0)
+
+
+@pytest.mark.parametrize("link, curves, snrs", [
+    (dict(), [None, 1, 2, 4, 8], (8.0, 12.0)),
+    (dict(n_r=2, modulation="qpsk"), [None, 1, 4, 8], (12.0, 20.0)),
+    (dict(n_t=4), [None, 2, 4, 8], (12.0, 20.0)),
+    (dict(csi_mode="estimated"), [None, 1, 4, 8], (16.0, 24.0)),
+    (dict(csi_mode="estimated", pilot_snr_db=20.0), [None, 1, 4, 8],
+     (16.0, 24.0)),
+    (dict(fresh_codebook=False), [None, 1, 4, 8], (12.0, 20.0)),
+], ids=["miso", "mimo22", "miso4", "estimated", "estimated-fixed-pilot",
+        "fixed-codebook"])
+def test_early_stop_never_changes_a_count(monkeypatch, link, curves, snrs):
+    """Nested curves let the block's codeword search stop early on the
+    trials whose every subcarrier already clears its floor, yet each
+    block's (bits, errors, null skips) totals equal those of the same
+    block searched exactly, with the floors removed: with every pair
+    running, with only the highest SNR running, and with the largest
+    curve stopped and the smallest one running at the highest SNR alone.
+    The tail past the second largest prefix is scored on fewer than 256
+    trials of some block."""
+    cfg = SimConfig(snr_db_points=snrs, master_seed=3, **link)
+    configs = [replace(cfg, feedback_bits=bits) for bits in curves]
+    masks = [np.ones((len(curves), 2), bool), np.zeros((len(curves), 2), bool)]
+    masks[1][:, 1] = True
+    masks.append(masks[0].copy())
+    masks[2][-1] = False
+    masks[2][1, 0] = False
+    runs = [(active, batch) for active in masks for batch in (0, 1)]
+    fast = [_tail_trials(monkeypatch, configs, *run) for run in runs]
+    monkeypatch.setattr(lfbeam.simulator, "_search_floors",
+                        lambda *args: None)
+    exact = [_tail_trials(monkeypatch, configs, *run) for run in runs]
+    for (block, tail), (want, full) in zip(fast, exact):
+        assert np.array_equal(block, want)
+        assert full == TRIALS_PER_BATCH
+    assert min(tail for _, tail in fast) < TRIALS_PER_BATCH
+    assert sum(want[..., 1].sum() for want, _ in exact) > 0
+
+
+def test_diagnostic_beams_are_the_exact_best(monkeypatch):
+    """``trial_effective_gains`` searches exactly, also at an SNR where
+    the block of curves 1 and 4 stops early on some trials: each B = 4
+    beam is the argmax of ``||H w||^2`` over the trial's first 16
+    codewords, wherever the runner-up trails by more than rounding."""
+    cfg = SimConfig(feedback_bits=4, snr_db_points=(20.0,), master_seed=3)
+    configs = [replace(cfg, feedback_bits=bits) for bits in (1, 4)]
+    _, tail = _tail_trials(monkeypatch, configs, np.ones((2, 1), bool), 0)
+    assert tail < TRIALS_PER_BATCH
+    books = _replay_codebooks(cfg, 0, 4)
+    checked = 0
+    for row in range(0, TRIALS_PER_BATCH, 15):
+        d = trial_effective_gains(cfg, 20.0, row)
+        words = books[:, row]
+        gains = (np.abs(d["rx_channel"] @ words.T) ** 2).sum(axis=1)
+        top = np.sort(gains, axis=1)
+        clear = top[:, -1] - top[:, -2] > 1e-9 * top[:, -1]
+        best = words[gains.argmax(axis=1)]
+        assert np.array_equal(d["beams"][clear], best[clear])
+        checked += clear.sum()
+    assert checked > 0.9 * 18 * cfg.n_subcarriers
 
 
 def test_fresh_codebook_memory_is_bounded():
